@@ -4,11 +4,14 @@ Compares a freshly measured benchmark file against the committed baseline
 and fails (exit 1) on a >2x performance regression. Absolute timings are
 **not** compared across machines — CI runners are arbitrarily slower than
 the machine that produced the baseline. Instead the gate compares
-*same-machine speedup ratios* (optimized path vs. the in-tree seed-engine
-baseline, both measured in the current run): those are machine-independent,
-so a drop of more than the allowed factor means the optimization genuinely
-degraded (e.g. the tape silently stopped engaging), not that the runner is
-slow or noisy.
+*same-machine speedup ratios*: an optimized path against its in-tree
+reference, both measured in the current run (fused kernels vs. their
+composed ``*_reference`` ops, the compiled tape vs. eager autograd, the
+store index vs. a directory scan). Those ratios are machine-independent,
+so a drop of more than the allowed factor — or below a hard floor — means
+the optimization genuinely degraded (e.g. the tape silently stopped
+engaging and compiled reads as fast as eager), not that the runner is
+slow or noisy. A gated key missing from the current run is a failure.
 
 Usage::
 
@@ -27,15 +30,16 @@ from pathlib import Path
 GATED_RATIOS = (
     ("op_level", "linear_selu_speedup"),
     ("op_level", "huber_speedup"),
-    ("step_level", "speedup_vs_seed"),
+    ("step_level", "speedup_vs_eager"),
     # Index-backed names() vs. a full directory walk of the sharded store —
     # same machine, same run, so the ratio travels across runners.
     ("runtime_level", "sharded_store", "names_speedup_vs_scan"),
 )
 
-#: Hard floors: the optimized path must stay at least this much faster
-#: than the seed engine on the current machine, whatever the baseline says.
-RATIO_FLOORS = ((("step_level", "speedup_vs_seed"), 1.5),)
+#: Hard floors on the current run, whatever the baseline says. A tape that
+#: stopped engaging reads ~1.0x compiled vs. eager; 24 interleaved
+#: ``bench_step`` runs on a 2-CPU VM read 1.25-1.71x.
+RATIO_FLOORS = ((("step_level", "speedup_vs_eager"), 1.2),)
 
 #: Same-run store-backend slowdown ratios (sqlite vs local FS at 10k
 #: entries; >1 = sqlite slower). Gated inversely to GATED_RATIOS: the
@@ -91,6 +95,15 @@ def _lookup(payload: dict, path) -> float:
     for key in path:
         node = node[key]
     return float(node)
+
+
+def _lookup_current(current: dict, path, failures: list):
+    """``path`` in the current run, or ``None`` after recording a failure."""
+    try:
+        return _lookup(current, path)
+    except KeyError:
+        failures.append(f"{'.'.join(path)} missing from the current run")
+        return None
 
 
 def _check_serve_fleet(current: dict, failures: list) -> None:
@@ -230,8 +243,14 @@ def main() -> int:
     failures = []
     for path in GATED_RATIOS:
         label = ".".join(path)
-        base = _lookup(baseline, path)
-        now = _lookup(current, path)
+        now = _lookup_current(current, path, failures)
+        if now is None:
+            continue
+        try:
+            base = _lookup(baseline, path)
+        except KeyError:
+            failures.append(f"{label} missing from the baseline")
+            continue
         floor = base / args.factor
         status = "ok" if now >= floor else "REGRESSION"
         print(
@@ -245,7 +264,9 @@ def main() -> int:
             )
 
     for path, floor in RATIO_FLOORS:
-        now = _lookup(current, path)
+        now = _lookup_current(current, path, failures)
+        if now is None:
+            continue
         status = "ok" if now >= floor else "REGRESSION"
         print(f"{'.'.join(path)}: {now:.2f}x (hard floor {floor}x) [{status}]")
         if status != "ok":
@@ -253,10 +274,8 @@ def main() -> int:
 
     for path in GATED_SLOWDOWNS:
         label = ".".join(path)
-        try:
-            now = _lookup(current, path)
-        except KeyError:
-            failures.append(f"{label} missing from the current run")
+        now = _lookup_current(current, path, failures)
+        if now is None:
             continue
         try:
             base = _lookup(baseline, path)
@@ -277,10 +296,8 @@ def main() -> int:
 
     for path, ceiling in SLOWDOWN_CEILINGS:
         label = ".".join(path)
-        try:
-            now = _lookup(current, path)
-        except KeyError:
-            failures.append(f"{label} missing from the current run")
+        now = _lookup_current(current, path, failures)
+        if now is None:
             continue
         status = "ok" if now <= ceiling else "REGRESSION"
         print(f"{label}: {now:.2f}x (hard ceiling {ceiling}x) [{status}]")
@@ -289,12 +306,8 @@ def main() -> int:
 
     for path, ceiling in ABSOLUTE_CEILINGS_NS:
         label = ".".join(path)
-        try:
-            now = _lookup(current, path)
-        except KeyError:
-            # Baselines predating the metrics subsystem lack the section;
-            # the fresh run must still have it.
-            failures.append(f"{label} missing from the current run")
+        now = _lookup_current(current, path, failures)
+        if now is None:
             continue
         status = "ok" if now <= ceiling else "REGRESSION"
         print(f"{label}: {now:.0f}ns (ceiling {ceiling:.0f}ns) [{status}]")

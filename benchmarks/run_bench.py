@@ -1,17 +1,16 @@
-"""Before/after performance harness — writes ``BENCH_micro.json``.
+"""Performance harness — writes ``BENCH_micro.json``.
 
-Measures the three optimization layers of the engine against their
-pre-optimization equivalents, which remain runnable in-tree:
+Measures the optimization layers of the engine against in-tree
+references, then the runtime, store, serving and online subsystems:
 
 * **op level** — fused kernels (``selu``, ``linear_act``, ``huber_loss``)
   vs. their composed ``*_reference`` implementations;
 * **step level** — the ``test_nn_forward_backward_step`` workload
-  (FeedForward 28-8-1, batch 64, Huber + Adam) three ways: composed
-  kernels + eager autograd ("before", the seed implementation), fused
-  kernels + eager, and fused kernels + compiled tape ("after");
+  (FeedForward 28-8-1, batch 64, Huber + Adam) two ways: fused kernels +
+  eager autograd, and fused kernels + compiled tape;
 * **experiment level** — a smoke-scale cross-context campaign and a single
   fine-tune with ``REPRO_NO_TAPE=1`` vs. compiled tapes, asserting the
-  records/weights are **bit-identical** before reporting any speedup.
+  records/weights are **bit-identical** before reporting any timing.
 
 Usage::
 
@@ -90,43 +89,18 @@ def bench_ops(repeats: int, inner: int) -> dict:
 # --------------------------------------------------------------------- #
 
 
-def _legacy(on: bool) -> None:
-    """Toggle the seed-equivalent engine (composed kernels, allocating Adam,
-    no tapes). The flag is read at model/optimizer construction, so every
-    benchmark closure builds its network after the toggle."""
-    if on:
-        os.environ["REPRO_LEGACY_ENGINE"] = "1"
-    else:
-        os.environ.pop("REPRO_LEGACY_ENGINE", None)
-
-
 def _make_step(mode: str):
-    """The forward/backward/step closure in one of three engine modes:
-    ``legacy`` (seed implementation), ``eager`` (fused kernels, no tape),
-    ``compiled`` (fused kernels + tape)."""
-    from repro.nn import Adam, FeedForward, GraphCompiler, HuberLoss, Tensor
+    """The forward/backward/step closure in one of two engine modes:
+    ``eager`` (fused kernels, no tape) or ``compiled`` (fused kernels +
+    tape)."""
+    from repro.nn import Adam, FeedForward, GraphCompiler, HuberLoss
 
-    _legacy(mode == "legacy")
-    try:
-        net = FeedForward(28, 8, 1, seed=0)
-        optimizer = Adam(net.parameters(), lr=1e-3)
-        loss_fn = HuberLoss()
-    finally:
-        _legacy(False)
+    net = FeedForward(28, 8, 1, seed=0)
+    optimizer = Adam(net.parameters(), lr=1e-3)
+    loss_fn = HuberLoss()
     rng = np.random.default_rng(0)
     x = rng.normal(size=(64, 28))
     y = rng.normal(size=(64, 1))
-
-    if mode == "legacy":
-
-        def step() -> float:
-            optimizer.zero_grad()
-            loss = loss_fn(net(Tensor(x)), Tensor(y))
-            loss.backward()
-            optimizer.step()
-            return loss.item()
-
-        return step
 
     compiler = GraphCompiler(
         lambda x_t, y_t: (loss_fn(net(x_t), y_t),),
@@ -145,16 +119,17 @@ def _make_step(mode: str):
 
 
 def bench_step(repeats: int, inner: int) -> dict:
-    out = {}
-    for mode, key in (
-        ("legacy", "seed_engine_us"),
-        ("eager", "eager_fused_us"),
-        ("compiled", "compiled_tape_us"),
-    ):
-        step = _make_step(mode)
+    """Best-of-``repeats`` step time per mode. The modes are timed in
+    alternation, so a machine-wide slowdown hits both sides of the gated
+    ``speedup_vs_eager`` ratio alike."""
+    steps = {"eager_fused_us": _make_step("eager"), "compiled_tape_us": _make_step("compiled")}
+    for step in steps.values():
         step()  # warm up (records the tape in compiled mode)
-        out[key] = _best_of(step, repeats, inner) * 1e6
-    out["speedup_vs_seed"] = out["seed_engine_us"] / out["compiled_tape_us"]
+    out = {key: float("inf") for key in steps}
+    for _ in range(repeats):
+        for key, step in steps.items():
+            out[key] = min(out[key], _best_of(step, 1, inner) * 1e6)
+    out["speedup_vs_eager"] = out["eager_fused_us"] / out["compiled_tape_us"]
     return out
 
 
@@ -216,7 +191,6 @@ def _evaluation_phase() -> tuple:
     from repro.data import generate_c3o_dataset
     from repro.eval.experiments.common import (
         QUICK_SCALE,
-        PretrainedModelCache,
         cross_context_methods,
         select_target_contexts,
     )
@@ -226,8 +200,8 @@ def _evaluation_phase() -> tuple:
     dataset = generate_c3o_dataset(seed=0)
     scale = QUICK_SCALE
     target = select_target_contexts(dataset, "sgd", 1, seed=0)[0]
-    cache = PretrainedModelCache(dataset, scale.bellamy_config(), seed=0)
-    methods = cross_context_methods(cache, target, scale, seed=0)  # pre-trains here
+    session = Session(dataset, config=scale.bellamy_config(), seed=0)
+    methods = cross_context_methods(session, target, scale, seed=0)  # pre-trains here
     protocol = ProtocolConfig(
         n_train_values=(1, 2, 3, 4, 6),
         max_splits=4,
@@ -246,23 +220,13 @@ def _evaluation_phase() -> tuple:
 
 
 def bench_experiments(timing_runs: int = 2) -> dict:
-    """Experiment-level before/after. Wall-clock numbers are the best of
-    ``timing_runs`` runs — the workloads are deterministic (bit-identical
+    """Experiment-level eager vs. compiled. Wall-clock numbers are the best
+    of ``timing_runs`` runs — the workloads are deterministic (bit-identical
     results every run), so min is the right noise filter."""
     out = {}
 
-    _legacy(True)
-    try:
-        runs = [_finetune_once() for _ in range(timing_runs)]
-        pre_before = min(r[0] for r in runs)
-        ft_before = min(r[1] for r in runs)
-        wall_before = min(_cross_context_smoke()[0] for _ in range(timing_runs))
-        eval_before = min(_evaluation_phase()[0] for _ in range(timing_runs))
-    finally:
-        _legacy(False)
-
-    # Bit-identity is asserted against the *eager fused* path (same kernels,
-    # tape off) — the legacy engine is a speed baseline, not a numeric one.
+    # Bit-identity is asserted against the eager fused path (same kernels,
+    # tape off).
     os.environ["REPRO_NO_TAPE"] = "1"
     try:
         pre_eager, ft_eager, state_eager = _finetune_once()
@@ -283,29 +247,21 @@ def bench_experiments(timing_runs: int = 2) -> dict:
         np.array_equal(state_eager[k], state_after[k]) for k in state_eager
     )
     out["finetune"] = {
-        "seed_engine_s": ft_before,
         "eager_fused_s": ft_eager,
         "compiled_s": ft_after,
-        "speedup_vs_seed": ft_before / ft_after,
         "weights_bit_identical_vs_eager": bool(identical_weights),
     }
     out["pretrain"] = {
-        "seed_engine_s": pre_before,
         "eager_fused_s": pre_eager,
         "compiled_s": pre_after,
-        "speedup_vs_seed": pre_before / pre_after,
     }
     out["cross_context_smoke"] = {
-        "seed_engine_s": wall_before,
         "compiled_serial_s": wall_after,
-        "speedup_vs_seed": wall_before / wall_after,
         "records_bit_identical_vs_eager": keys_eager == keys_after,
         "n_records": len(keys_after),
     }
     out["cross_context_evaluation_phase"] = {
-        "seed_engine_s": eval_before,
         "compiled_s": eval_after,
-        "speedup_vs_seed": eval_before / eval_after,
     }
     if not identical_weights or keys_eager != keys_after:
         raise SystemExit("FATAL: compiled path is not bit-identical to eager")
@@ -489,103 +445,6 @@ def bench_serving() -> dict:
             "speedup": per_request_s / grouped_s,
             "finetune_fits": session.last_batch_stats["finetune_fits"],
             "outputs_match": bool(close),
-        }
-    }
-
-
-# --------------------------------------------------------------------- #
-# Serve level (the repro.serve online prediction service)
-# --------------------------------------------------------------------- #
-
-
-def bench_serve(concurrency: int = 200) -> dict:
-    """Throughput/latency of the HTTP prediction service under concurrency.
-
-    Fires ``concurrency`` simultaneous zero-shot requests (20 contexts x a
-    few scale-out lists) at a :class:`repro.serve.PredictionServer` and
-    asserts, before reporting anything, that (a) the micro-batcher coalesced
-    traffic — >= 2 requests per ``predict_batch`` call on average — and
-    (b) every response is **bit-identical** to serial ``Session.predict``.
-    """
-    import threading
-
-    from repro.api import Session
-    from repro.core.config import BellamyConfig
-    from repro.data import generate_c3o_dataset
-    from repro.serve import HttpServeClient, PredictionServer
-
-    dataset = generate_c3o_dataset(seed=0)
-    config = BellamyConfig(seed=0).with_overrides(pretrain_epochs=30)
-    session = Session(dataset, config=config)
-    contexts = dataset.for_algorithm("sgd").contexts()[:20]
-    machine_lists = ([2, 4, 8], [4, 8], [6, 10, 12], [8])
-    workload = [
-        (contexts[i % len(contexts)], machine_lists[i % len(machine_lists)])
-        for i in range(concurrency)
-    ]
-    session.base_model("sgd")  # pre-train outside the timing
-
-    server = PredictionServer(
-        session, port=0, batch_max=256, batch_wait_ms=10.0, cache_size=8
-    ).start()
-    client = HttpServeClient(server.url)
-    client.healthz()  # warm the listener
-    results = [None] * concurrency
-    latencies = [0.0] * concurrency
-    barrier = threading.Barrier(concurrency + 1)
-
-    def fire(index: int, context, machines) -> None:
-        barrier.wait()
-        started = time.perf_counter()
-        results[index] = client.predict(context, machines)
-        latencies[index] = time.perf_counter() - started
-
-    threads = [
-        threading.Thread(target=fire, args=(i, ctx, machines))
-        for i, (ctx, machines) in enumerate(workload)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - started
-    stats = server.app.stats()
-    server.close()
-
-    serial_started = time.perf_counter()
-    serial = [session.predict(ctx, machines) for ctx, machines in workload]
-    serial_wall = time.perf_counter() - serial_started
-    identical = all(np.array_equal(a, b) for a, b in zip(results, serial))
-    batcher = stats["batcher"]
-    if not identical:
-        raise SystemExit("FATAL: served responses are not bit-identical to serial predict")
-    if batcher["mean_batch_size"] < 2.0 or batcher["largest_group"] < 2:
-        raise SystemExit(
-            f"FATAL: micro-batching did not engage under load: {batcher}"
-        )
-    ordered = sorted(latencies)
-    # Server-side percentiles from the /metrics request histogram — the
-    # same numbers a Prometheus scrape would report (client-side numbers
-    # above include connection time, so the two views bracket reality).
-    hist_latency = stats["latency"].get("POST /predict", {})
-    return {
-        "concurrent_zero_shot": {
-            "concurrency": concurrency,
-            "wall_s": wall,
-            "requests_per_s": concurrency / wall,
-            "latency_p50_ms": ordered[len(ordered) // 2] * 1e3,
-            "latency_p95_ms": ordered[int(len(ordered) * 0.95)] * 1e3,
-            "latency_hist_p50_ms": hist_latency.get("p50_ms"),
-            "latency_hist_p95_ms": hist_latency.get("p95_ms"),
-            "latency_hist_p99_ms": hist_latency.get("p99_ms"),
-            "serial_predict_s": serial_wall,
-            "predict_batch_calls": batcher["batches"],
-            "mean_batch_size": batcher["mean_batch_size"],
-            "largest_group": batcher["largest_group"],
-            "bit_identical_to_serial": bool(identical),
-            "cache": stats["cache"],
         }
     }
 
@@ -1182,11 +1041,8 @@ def main() -> int:
         "schema": 1,
         "note": (
             "All numbers measured by benchmarks/run_bench.py on this machine. "
-            "'seed_engine' numbers run the pre-optimization implementation "
-            "kept in-tree behind REPRO_LEGACY_ENGINE=1 (composed kernels, "
-            "allocating per-parameter Adam, no tapes); compiled numbers are "
-            "only reported after asserting results bit-identical to the "
-            "eager fused path."
+            "Compiled numbers are only reported after asserting results "
+            "bit-identical to the eager fused path (REPRO_NO_TAPE=1)."
         ),
         "environment": {
             "python": platform.python_version(),
@@ -1211,7 +1067,6 @@ def main() -> int:
     if not args.skip_experiments:
         payload["experiment_level"] = bench_experiments(timing_runs=2 if args.quick else 3)
         payload["serving_level"] = bench_serving()
-        payload["serve_level"] = bench_serve(concurrency=200)
         payload["online_level"] = bench_online()
         payload["serve_fleet"] = bench_serve_fleet(
             n_requests=400 if args.quick else 1500
@@ -1220,9 +1075,9 @@ def main() -> int:
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     step = payload["step_level"]
     print(
-        f"step: seed {step['seed_engine_us']:.0f}us -> "
+        f"step: eager {step['eager_fused_us']:.0f}us -> "
         f"compiled {step['compiled_tape_us']:.0f}us "
-        f"({step['speedup_vs_seed']:.2f}x)"
+        f"({step['speedup_vs_eager']:.2f}x)"
     )
     metrics = payload["metrics_level"]
     print(
@@ -1252,18 +1107,12 @@ def main() -> int:
     if "experiment_level" in payload:
         experiment = payload["experiment_level"]
         print(
-            f"finetune: {experiment['finetune']['speedup_vs_seed']:.2f}x  "
-            f"pretrain: {experiment['pretrain']['speedup_vs_seed']:.2f}x  "
-            f"cross-context smoke: {experiment['cross_context_smoke']['speedup_vs_seed']:.2f}x  "
-            f"evaluation phase: {experiment['cross_context_evaluation_phase']['speedup_vs_seed']:.2f}x"
-        )
-    if "serve_level" in payload:
-        serve = payload["serve_level"]["concurrent_zero_shot"]
-        print(
-            f"serve: {serve['concurrency']} concurrent requests at "
-            f"{serve['requests_per_s']:.0f} req/s "
-            f"(p95 {serve['latency_p95_ms']:.0f} ms, "
-            f"mean batch {serve['mean_batch_size']:.1f}, bit-identical)"
+            f"finetune: eager {experiment['finetune']['eager_fused_s']:.3f}s -> "
+            f"compiled {experiment['finetune']['compiled_s']:.3f}s  "
+            f"pretrain: eager {experiment['pretrain']['eager_fused_s']:.2f}s -> "
+            f"compiled {experiment['pretrain']['compiled_s']:.2f}s  "
+            f"cross-context smoke {experiment['cross_context_smoke']['compiled_serial_s']:.2f}s, "
+            f"bit-identical"
         )
     batched = payload["batched_refresh"]
     print(

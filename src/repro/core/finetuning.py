@@ -42,7 +42,7 @@ from repro.nn.batched import (
 from repro.nn.losses import HuberLoss
 from repro.nn.optim import Adam
 from repro.nn.schedulers import CyclicLR
-from repro.nn.tape import GraphCompiler, legacy_engine
+from repro.nn.tape import GraphCompiler
 from repro.nn.tensor import Tensor
 from repro.nn.trainer import TrainResult, Trainer, TrainerConfig, unfreeze_after
 from repro.utils.rng import derive_seed, new_rng
@@ -521,8 +521,8 @@ def finetune_batch(
     compiled tape; the result per group is bit-identical to running
     :func:`finetune` on it alone (same seeds, same shuffled batch orders,
     same stop epochs). Groups that cannot batch — architecture mismatch,
-    graph-aware models, the legacy engine, or a lone leftover — fall back to
-    the serial loop transparently.
+    graph-aware models, or a lone leftover — fall back to the serial loop
+    transparently.
 
     Returns one entry per item, position-aligned: a
     :class:`FinetuneResult` on success or a :class:`FinetuneFailure` when
@@ -545,7 +545,7 @@ def finetune_batch(
                 )
             if machines.shape != runtimes.shape:
                 raise ValueError("machines and runtimes must have equal length")
-            if legacy_engine() or hasattr(base_model, "pending_contexts"):
+            if hasattr(base_model, "pending_contexts"):
                 serial_items.append(i)
                 continue
             model, config, unfreeze_epoch = _prepare_model(

@@ -40,7 +40,7 @@ from repro.nn.batched import (
 )
 from repro.nn.losses import HuberLoss, MSELoss
 from repro.nn.optim import Adam
-from repro.nn.tape import GraphCompiler, legacy_engine
+from repro.nn.tape import GraphCompiler
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.trainer import TrainResult, Trainer, TrainerConfig
 from repro.utils.rng import derive_seed, new_rng
@@ -475,8 +475,8 @@ def pretrain_batch(
     compiled tape; each group's result is bit-identical to its own
     :func:`pretrain` call (same splits, shuffles, dropout draws, and
     best-epoch selection). Incompatible or lone groups — and everything
-    under the legacy engine or a custom ``model_factory`` — fall back to
-    the serial loop transparently.
+    under a custom ``model_factory`` — fall back to the serial loop
+    transparently.
 
     Unlike :func:`repro.core.finetuning.finetune_batch` (whose per-group
     failure isolation serves the online refresh path), invalid inputs here
@@ -501,7 +501,7 @@ def pretrain_batch(
     prepared: Dict[int, _SweepEntry] = {}
     started = time.perf_counter()
 
-    if legacy_engine() or model_factory is not None:
+    if model_factory is not None:
         serial_indices = list(range(len(normalized)))
     else:
         for i, (algorithm, config) in enumerate(normalized):

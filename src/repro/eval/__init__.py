@@ -1,7 +1,6 @@
 """Evaluation harness: metrics, protocol, experiment runners, reporting."""
 
 from repro.eval import experiments, reporting
-from repro.eval.parallel import JOBS_ENV, experiment_map, jobs_from_env, resolve_jobs
 from repro.eval.records_io import load_records, save_records
 from repro.eval.metrics import (
     absolute_errors,
@@ -31,7 +30,6 @@ from repro.eval.protocol import (
 
 __all__ = [
     "EvaluationRecord",
-    "JOBS_ENV",
     "MethodSpec",
     "ProtocolConfig",
     "absolute_errors",
@@ -40,10 +38,7 @@ __all__ = [
     "epochs_distribution",
     "evaluate_context",
     "evaluate_method_on_split",
-    "experiment_map",
     "experiments",
-    "jobs_from_env",
-    "resolve_jobs",
     "load_records",
     "mae",
     "mape",

@@ -6,7 +6,6 @@ from repro.eval.experiments.common import (
     SCALES,
     SMOKE_SCALE,
     ExperimentScale,
-    PretrainedModelCache,
     cross_context_methods,
     get_scale,
     select_target_contexts,
@@ -62,7 +61,6 @@ __all__ = [
     "OnlineDriftRecord",
     "OnlineDriftResult",
     "PAPER_EXAMPLE_CONTEXTS",
-    "PretrainedModelCache",
     "QUICK_SCALE",
     "SCALES",
     "SMOKE_SCALE",

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: scales, method sets, pre-training cache.
+"""Shared experiment infrastructure: scales, target selection, method sets.
 
 Every experiment runner accepts an :class:`ExperimentScale`. ``FULL`` mirrors
 the paper's counts (200/500 splits, 2500 epochs, 7 contexts per algorithm);
@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.api.session import Session
 from repro.core.config import BellamyConfig
-from repro.core.model import BellamyModel
 from repro.data.dataset import ExecutionDataset
 from repro.data.schema import JobContext
 from repro.eval.protocol import MethodSpec
@@ -137,52 +136,8 @@ def select_target_contexts(
     return chosen
 
 
-class PretrainedModelCache:
-    """Deprecated shim: pre-trained base models per (algorithm, variant,
-    target context), now backed by :class:`repro.api.Session`.
-
-    The corpus policies follow the paper: *full* uses every execution of the
-    algorithm except the target context's own, *filtered* additionally keeps
-    only substantially different contexts. Pre-training is by far the most
-    expensive step of the experiments, so results are memoized. New code
-    should construct a :class:`~repro.api.session.Session` directly — this
-    wrapper only preserves the historical constructor and key layout.
-    """
-
-    def __init__(
-        self,
-        dataset: ExecutionDataset,
-        config: BellamyConfig,
-        seed: int = 0,
-    ) -> None:
-        self.dataset = dataset
-        self.config = config
-        self.seed = seed
-        self.session = Session(dataset, config=config, seed=seed)
-
-    @property
-    def pretrain_seconds(self) -> Dict[Tuple[str, str, str], float]:
-        """Wall-clock per pre-training run, keyed (algorithm, variant, ctx)."""
-        return self.session.pretrain_seconds
-
-    def corpus_for(self, variant: str, target: JobContext) -> ExecutionDataset:
-        """The pre-training corpus implied by ``variant`` for ``target``.
-
-        On very small datasets the ``filtered`` policy (different node type,
-        characteristics, and parameters; ≥20 % size difference) can remove
-        every execution; the session then falls back to the ``full`` corpus
-        so the study still runs — real corpora (27-47 contexts per
-        algorithm) never trigger this.
-        """
-        return self.session.corpus_for(target.algorithm, variant, target)
-
-    def get(self, variant: str, target: JobContext) -> BellamyModel:
-        """The pre-trained base model for ``(variant, target)`` (memoized)."""
-        return self.session.base_model(target.algorithm, variant=variant, target=target)
-
-
 def cross_context_methods(
-    cache: PretrainedModelCache,
+    session: Session,
     target: JobContext,
     scale: ExperimentScale,
     seed: int = 0,
@@ -190,14 +145,17 @@ def cross_context_methods(
     """The five methods of the cross-context study (paper Fig. 5/6/7).
 
     All methods are resolved through the estimator registry
-    (:mod:`repro.api`); pre-trained base models are resolved eagerly
-    (outside the split loop) so their cost is not attributed to
-    time-to-fit — matching the paper, where time-to-fit covers pipeline
-    preparation, model loading, and fine-tuning.
+    (:mod:`repro.api`); pre-trained base models come from ``session`` and
+    are resolved eagerly (outside the split loop) so their cost is not
+    attributed to time-to-fit — matching the paper, where time-to-fit
+    covers pipeline preparation, model loading, and fine-tuning. The
+    corpus policies follow the paper: *full* uses every execution of the
+    algorithm except the target context's own, *filtered* additionally
+    keeps only substantially different contexts.
     """
     config = scale.bellamy_config()
-    filtered_base = cache.get("filtered", target)
-    full_base = cache.get("full", target)
+    filtered_base = session.base_model(target.algorithm, variant="filtered", target=target)
+    full_base = session.base_model(target.algorithm, variant="full", target=target)
 
     specs = [
         MethodSpec.from_registry("nnls", name="NNLS"),

@@ -14,12 +14,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.session import Session
 from repro.core.config import BellamyConfig
 from repro.data.dataset import ExecutionDataset
 from repro.data.schema import JobContext
 from repro.eval.experiments.common import (
     ExperimentScale,
-    PretrainedModelCache,
     QUICK_SCALE,
     cross_context_methods,
     select_target_contexts,
@@ -68,14 +68,15 @@ def _evaluate_target(
     """Evaluate all methods on one target context (process-pool safe).
 
     Module-level (picklable) and self-contained: the worker builds its own
-    pre-training cache. All randomness derives from per-target seeds, so
-    results are bit-identical regardless of which process runs the task.
+    pre-training :class:`Session`. All randomness derives from per-target
+    seeds, so results are bit-identical regardless of which process runs
+    the task.
     """
     dataset, target, scale, seed, base_config = task
     config = scale.bellamy_config(base_config)
-    cache = PretrainedModelCache(dataset, config, seed=seed)
+    session = Session(dataset, config=config, seed=seed)
     context_data = dataset.for_context(target.context_id)
-    methods = cross_context_methods(cache, target, scale, seed=seed)
+    methods = cross_context_methods(session, target, scale, seed=seed)
     protocol = ProtocolConfig(
         n_train_values=scale.n_train_values,
         max_splits=scale.max_splits,
@@ -83,7 +84,7 @@ def _evaluate_target(
     )
     records = evaluate_context(methods, context_data, protocol)
     by_variant: Dict[str, List[float]] = {}
-    for (_algo, variant, _ctx), seconds in cache.pretrain_seconds.items():
+    for (_algo, variant, _ctx), seconds in session.pretrain_seconds.items():
         by_variant.setdefault(variant, []).append(seconds)
     return records, by_variant
 

@@ -9,7 +9,6 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.init import get_initializer
 from repro.nn.module import Module, Parameter
-from repro.nn.tape import legacy_engine
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeedLike, new_rng
 
@@ -93,8 +92,6 @@ class Activation(Module):
             raise ValueError(f"unknown activation {name!r}; available: {sorted(self._FUNCTIONS)}")
         self.name = name
         self._fn: Callable[[Tensor], Tensor] = self._FUNCTIONS[name]
-        if name == "selu" and legacy_engine():
-            self._fn = F.selu_reference
 
     def forward(self, x: Tensor) -> Tensor:  # noqa: D102
         return self._fn(x)
@@ -189,9 +186,6 @@ class FeedForward(Module):
         self.drop = AlphaDropout(dropout, seed=seed3) if dropout > 0 else Identity()
         self.layer2 = Linear(hidden_features, out_features, bias=bias, init=init, seed=seed2)
         self.activation2 = Activation(output_activation)
-        # Kernel fusion is resolved at construction so the benchmark harness
-        # can flip REPRO_LEGACY_ENGINE between fits.
-        self._fuse = not legacy_engine()
 
     def forward(self, x: Tensor) -> Tensor:  # noqa: D102
         hidden = self._fused_layer(self.layer1, self.activation1, x)
@@ -200,7 +194,7 @@ class FeedForward(Module):
 
     def _fused_layer(self, layer: Linear, activation: Activation, x: Tensor) -> Tensor:
         """Affine + activation — as one fused kernel whenever possible."""
-        if self._fuse and activation.name in F.FUSABLE_ACTIVATIONS and x.ndim == 2:
+        if activation.name in F.FUSABLE_ACTIVATIONS and x.ndim == 2:
             return F.linear_act(x, layer.weight, layer.bias, activation.name)
         return activation(layer(x))
 

@@ -6,7 +6,6 @@ from typing import Dict, Sequence, Tuple
 
 from repro.nn import functional as F
 from repro.nn.module import Module
-from repro.nn.tape import legacy_engine
 from repro.nn.tensor import Tensor
 
 
@@ -32,10 +31,9 @@ class HuberLoss(Module):
         if delta <= 0:
             raise ValueError(f"delta must be > 0, got {delta}")
         self.delta = delta
-        self._loss_fn = F.huber_loss_reference if legacy_engine() else F.huber_loss
 
     def forward(self, prediction: Tensor, target: Tensor) -> Tensor:  # noqa: D102
-        return self._loss_fn(prediction, target, delta=self.delta)
+        return F.huber_loss(prediction, target, delta=self.delta)
 
     def __repr__(self) -> str:
         return f"HuberLoss(delta={self.delta})"

@@ -12,7 +12,6 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.nn.tape import legacy_engine
 
 
 class Optimizer:
@@ -153,51 +152,17 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self._partitions: List[_AdamPartition] = []
         self._active_key: Optional[tuple] = None
-        self._legacy = legacy_engine()
 
     def step(self) -> None:
         """Apply one update to every parameter that received a gradient."""
         active = [p for p in self.params if p.requires_grad and p.grad is not None]
         if not active:
             return
-        if self._legacy:
-            for param in active:
-                self._legacy_update(param)
-            return
         key = tuple(id(p) for p in active)
         if key != self._active_key:
             self._rebuild(active, key)
         for part in self._partitions:
             self._step_partition(part)
-
-    def _legacy_decay_grad(self, param: Parameter) -> np.ndarray:
-        grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.data  # coupled L2
-        return grad
-
-    def _legacy_apply(self, param: Parameter, m_hat: np.ndarray, v_hat: np.ndarray) -> None:
-        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _legacy_update(self, param: Parameter) -> None:
-        """The seed's allocating per-parameter update (benchmark baseline).
-
-        Dispatches through ``_legacy_decay_grad``/``_legacy_apply`` so
-        subclasses keep their decay semantics in legacy mode too.
-        """
-        grad = self._legacy_decay_grad(param)
-        state = self._state_for(param)
-        if "m" not in state:
-            state["m"] = np.zeros_like(param.data)
-            state["v"] = np.zeros_like(param.data)
-            state["t"] = 0
-        state["t"] += 1
-        t = state["t"]
-        state["m"] = self.beta1 * state["m"] + (1.0 - self.beta1) * grad
-        state["v"] = self.beta2 * state["v"] + (1.0 - self.beta2) * grad**2
-        m_hat = state["m"] / (1.0 - self.beta1**t)
-        v_hat = state["v"] / (1.0 - self.beta2**t)
-        self._legacy_apply(param, m_hat, v_hat)
 
     def _rebuild(self, active: List[Parameter], key: tuple) -> None:
         """Repartition after the trainable set changed (freeze/unfreeze)."""
@@ -279,20 +244,9 @@ class Adam(Optimizer):
         for param, view in zip(part.params, part.s1_views):
             np.subtract(param.data, view, out=param.data)
 
-    def _update(self, param: Parameter) -> None:  # pragma: no cover - unused
-        raise NotImplementedError("Adam updates run through flat partitions")
-
 
 class AdamW(Adam):
     """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def _legacy_decay_grad(self, param: Parameter) -> np.ndarray:
-        return param.grad  # decay applied directly to the weights
-
-    def _legacy_apply(self, param: Parameter, m_hat: np.ndarray, v_hat: np.ndarray) -> None:
-        if self.weight_decay:
-            param.data -= self.lr * self.weight_decay * param.data
-        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def _flat_decay(self, part: _AdamPartition) -> np.ndarray:
         return part.g  # decay applied directly to the weights in _flat_apply

@@ -42,25 +42,12 @@ from repro.nn.tensor import Tensor, recording
 #: Environment variable disabling compiled tapes (for benchmarking/debugging).
 NO_TAPE_ENV = "REPRO_NO_TAPE"
 
-#: Environment variable restoring the pre-optimization engine: composed
-#: (unfused) kernels, the allocating per-parameter Adam, and no tapes.
-#: Exists so the benchmark harness can measure honest before/after numbers
-#: on any machine; never enable it for real runs.
-LEGACY_ENV = "REPRO_LEGACY_ENGINE"
-
 #: Cache sentinel for signatures whose graph cannot be replayed.
 _EAGER = object()
 
 
-def legacy_engine() -> bool:
-    """Whether the pre-optimization (seed) engine paths are forced."""
-    return os.environ.get(LEGACY_ENV, "").strip().lower() in ("1", "true", "yes")
-
-
 def tape_enabled() -> bool:
     """Whether compiled tapes are enabled (default: yes)."""
-    if legacy_engine():
-        return False
     return os.environ.get(NO_TAPE_ENV, "").strip().lower() not in ("1", "true", "yes")
 
 

@@ -15,8 +15,7 @@ convention. ``repro.runtime`` is the shared substrate they all sit on now:
 :func:`executor_map` / :func:`get_executor` / :func:`resolve_jobs` /
 :func:`jobs_from_env` / :func:`resolve_workers`
     Worker-count resolution (the ``REPRO_JOBS`` knob) and one-shot
-    fan-out, collapsing the duplicated ``repro.utils.parallel`` /
-    ``repro.eval.parallel`` pair (both remain as deprecation shims).
+    fan-out.
 :class:`ArtifactStore` (+ :class:`~repro.runtime.locks.FileLock`)
     Sharded two-level hash-fan-out artifact directories with in-process +
     cross-process locking, an index behind ``names()``/``exists()``

@@ -236,7 +236,19 @@ class SqliteBackend(StoreBackend):
             isolation_level=None,  # explicit BEGIN/COMMIT only
             check_same_thread=False,  # guarded by per-thread storage
         )
-        conn.execute("PRAGMA journal_mode=WAL")
+        # Processes opening a fresh database at once race on the switch
+        # to WAL, and SQLite reports that conflict as "database is locked"
+        # at once instead of waiting out the busy handler: retry it here.
+        deadline = time.monotonic() + self._busy_timeout_s
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    conn.close()
+                    raise
+                time.sleep(0.005)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(
             f"PRAGMA busy_timeout={int(self._busy_timeout_s * 1000)}"

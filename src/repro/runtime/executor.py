@@ -21,9 +21,7 @@ own pools and threads. The three implementations share one contract:
   in the caller's thread as items complete.
 
 Worker-count resolution (``REPRO_JOBS``, ``0`` = serial, negative = all
-cores, never more workers than tasks) lives here too — it used to be
-duplicated across ``repro.utils.parallel`` and ``repro.eval.parallel``,
-which are now thin deprecation shims over this module.
+cores, never more workers than tasks) lives here too.
 
 >>> executor = SerialExecutor()
 >>> executor.map(lambda x: x * x, [3, 1, 2])
@@ -554,9 +552,8 @@ class ProcessExecutor(Executor):
     """Process-pool execution for long GIL-holding NumPy work.
 
     Functions and items must be picklable (module-level functions, not
-    closures) — the same constraint the old ``parallel_map`` documented.
-    Task start order is submission order, preserving the deterministic
-    lowest-index error propagation of the executor contract::
+    closures). Task start order is submission order, preserving the
+    deterministic lowest-index error propagation of the executor contract::
 
         with ProcessExecutor(max_workers=4) as executor:
             records = executor.map(evaluate_target, tasks)
@@ -640,9 +637,9 @@ def executor_map(
 ) -> List[R]:
     """One-shot fan-out: build the right executor, map, shut it down.
 
-    The workhorse behind ``repro.eval.parallel.experiment_map`` and the
-    legacy ``repro.utils.parallel.parallel_map``; results are in input
-    order and bit-identical for any ``jobs`` value (deterministic ``fn``).
+    The fan-out behind every experiment runner's ``n_workers``; results
+    are in input order and bit-identical for any ``jobs`` value
+    (deterministic ``fn``).
 
     >>> executor_map(len, ["ab", "c"], jobs=0)
     [2, 1]

@@ -34,8 +34,9 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -54,9 +55,15 @@ class LockTimeout(TimeoutError):
 
 
 #: Process-wide thread locks, one per resolved lock-file path. The map is
-#: keyed by PID so a ``fork()`` taken while a parent held a lock does not
-#: leave the child with a permanently-locked inherited copy.
-_THREAD_LOCKS: Dict[str, threading.Lock] = {}
+#: reset per PID so a ``fork()`` taken while a parent held a lock does not
+#: leave the child with a permanently-locked inherited copy. Values are
+#: weak: every lock holder or waiter keeps a strong reference in its
+#: ``_thread_lock``, so an entry lives exactly as long as some lock object
+#: on that path does — and a stream of distinct names (one per online
+#: refresh version) cannot grow the map without bound.
+_THREAD_LOCKS: "weakref.WeakValueDictionary[str, threading.Lock]" = (
+    weakref.WeakValueDictionary()
+)
 _REGISTRY_LOCK = threading.Lock()
 _REGISTRY_PID = os.getpid()
 
@@ -65,7 +72,7 @@ def _thread_lock_for(path: str) -> threading.Lock:
     global _THREAD_LOCKS, _REGISTRY_PID
     with _REGISTRY_LOCK:
         if _REGISTRY_PID != os.getpid():  # forked child: locks start fresh
-            _THREAD_LOCKS = {}
+            _THREAD_LOCKS = weakref.WeakValueDictionary()
             _REGISTRY_PID = os.getpid()
         lock = _THREAD_LOCKS.get(path)
         if lock is None:

@@ -4,7 +4,6 @@ These helpers are deliberately dependency-free (NumPy only) so that every
 other subpackage can rely on them without import cycles.
 """
 
-from repro.utils.parallel import parallel_map, resolve_workers
 from repro.utils.rng import RngMixin, derive_seed, new_rng, spawn_rngs
 from repro.utils.timing import Stopwatch, format_duration
 from repro.utils.serialization import (
@@ -36,8 +35,6 @@ __all__ = [
     "load_json",
     "load_npz_dict",
     "new_rng",
-    "parallel_map",
-    "resolve_workers",
     "save_json",
     "save_npz_dict",
     "spawn_rngs",

@@ -16,7 +16,8 @@ from repro.eval.experiments import (
     runtime_variance_summary,
     select_target_contexts,
 )
-from repro.eval.experiments.common import PretrainedModelCache
+from repro.api.session import Session
+from repro.eval.experiments.common import cross_context_methods
 from repro.eval import reporting
 from repro.eval.protocol import EvaluationRecord
 
@@ -63,25 +64,42 @@ class TestTargetSelection:
 
 
 class TestPretrainedCache:
+    """The experiments' pre-trained base models come from a Session."""
+
     def test_corpus_policies(self, c3o_dataset):
         config = SMOKE_SCALE.bellamy_config()
-        cache = PretrainedModelCache(c3o_dataset, config, seed=0)
+        session = Session(c3o_dataset, config=config, seed=0)
         target = c3o_dataset.for_algorithm("grep").contexts()[0]
-        full = cache.corpus_for("full", target)
-        filtered = cache.corpus_for("filtered", target)
+        full = session.corpus_for("grep", "full", target)
+        filtered = session.corpus_for("grep", "filtered", target)
         assert len(filtered) < len(full) < len(c3o_dataset)
         assert all(e.context.context_id != target.context_id for e in full)
         with pytest.raises(ValueError):
-            cache.corpus_for("everything", target)
+            session.corpus_for("grep", "everything", target)
 
     def test_memoization(self, c3o_dataset):
         config = SMOKE_SCALE.bellamy_config().with_overrides(pretrain_epochs=3)
-        cache = PretrainedModelCache(c3o_dataset, config, seed=0)
+        session = Session(c3o_dataset, config=config, seed=0)
         target = c3o_dataset.for_algorithm("grep").contexts()[0]
-        a = cache.get("full", target)
-        b = cache.get("full", target)
+        a = session.base_model("grep", variant="full", target=target)
+        b = session.base_model("grep", variant="full", target=target)
         assert a is b
-        assert len(cache.pretrain_seconds) == 1
+        assert len(session.pretrain_seconds) == 1
+
+    def test_cross_context_methods_pretrain_each_variant_once(self, c3o_dataset):
+        scale = SMOKE_SCALE
+        config = scale.bellamy_config().with_overrides(pretrain_epochs=3)
+        session = Session(c3o_dataset, config=config, seed=0)
+        target = c3o_dataset.for_algorithm("grep").contexts()[0]
+        first = cross_context_methods(session, target, scale)
+        second = cross_context_methods(session, target, scale)
+        assert [m.name for m in first] == [
+            "NNLS", "Bell", "Bellamy (local)", "Bellamy (filtered)", "Bellamy (full)"
+        ]
+        assert [m.name for m in first] == [m.name for m in second]
+        assert {variant for _, variant, _ in session.pretrain_seconds} == {
+            "filtered", "full"
+        }
 
 
 class TestFig2:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.data import generate_bell_dataset, generate_c3o_dataset
-from repro.eval.parallel import JOBS_ENV, experiment_map, jobs_from_env, resolve_jobs
 from repro.eval.experiments import (
     run_ablation_experiment,
     run_cross_context_experiment,
     run_cross_environment_experiment,
 )
 from repro.eval.experiments.common import SMOKE_SCALE
+from repro.runtime import JOBS_ENV, executor_map, jobs_from_env, resolve_jobs
 
 
 def record_key(record):
@@ -69,8 +69,8 @@ class TestJobsKnob:
         monkeypatch.delenv(JOBS_ENV, raising=False)
         assert resolve_jobs(8, n_tasks=3) == 3
 
-    def test_experiment_map_orders_results(self):
-        assert experiment_map(_square, [3, 1, 2], jobs=2) == [9, 1, 4]
+    def test_executor_map_orders_results(self):
+        assert executor_map(_square, [3, 1, 2], jobs=2) == [9, 1, 4]
 
 
 def _square(value):

@@ -9,6 +9,7 @@ metrics instruments.
 
 from __future__ import annotations
 
+import sqlite3
 import time
 
 import pytest
@@ -199,6 +200,55 @@ class TestSqliteLease:
         with pytest.raises(LockTimeout):
             third.acquire()
         second.release()
+
+
+class _LockedWalSwitch:
+    """A connection whose switch to WAL reports "database is locked" the
+    first ``failures`` times, as when another process is creating the
+    same database at that instant."""
+
+    def __init__(self, conn, failures):
+        self._conn = conn
+        self.failures = failures
+
+    def execute(self, sql, *args):
+        if sql == "PRAGMA journal_mode=WAL" and self.failures > 0:
+            self.failures -= 1
+            raise sqlite3.OperationalError("database is locked")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def __enter__(self):
+        return self._conn.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._conn.__exit__(*exc_info)
+
+
+class TestSqliteOpen:
+    def _connect_with(self, monkeypatch, failures):
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3,
+            "connect",
+            lambda *a, **kw: _LockedWalSwitch(real_connect(*a, **kw), failures),
+        )
+
+    def test_locked_wal_switch_is_retried(self, tmp_path, monkeypatch):
+        self._connect_with(monkeypatch, failures=3)
+        store = ArtifactStore(tmp_path, backend=SqliteBackend(tmp_path))
+        with store.transaction("m") as txn:
+            txn.write("json", _write_text("{}"))
+        assert store.names() == ["m"]
+
+    def test_locked_wal_switch_gives_up_after_busy_timeout(
+        self, tmp_path, monkeypatch
+    ):
+        self._connect_with(monkeypatch, failures=10**9)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            SqliteBackend(tmp_path, busy_timeout_s=0.05)
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,5 @@
-"""Tests for the parallel mapping helper and experiment determinism."""
+"""Tests for parallel mapping (``repro.runtime.executor_map``) and
+experiment determinism across worker counts."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import os
 
 import pytest
 
-from repro.utils.parallel import parallel_map, resolve_workers
+from repro.runtime import executor_map, resolve_workers
 
 
 def _square(x: int) -> int:
@@ -31,73 +32,72 @@ class TestResolveWorkers:
 
 
 class TestParallelMap:
+    @pytest.fixture(autouse=True)
+    def _no_env_jobs(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+
     def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert executor_map(_square, [1, 2, 3]) == [1, 4, 9]
 
     def test_empty(self):
-        assert parallel_map(_square, []) == []
+        assert executor_map(_square, []) == []
+        assert executor_map(_square, [], jobs=2) == []
 
     def test_order_preserved_across_processes(self):
         items = list(range(20))
-        assert parallel_map(_square, items, n_workers=4) == [x * x for x in items]
+        assert executor_map(_square, items, jobs=4) == [x * x for x in items]
 
     def test_serial_equals_parallel(self):
         items = list(range(12))
-        assert parallel_map(_square, items, n_workers=1) == parallel_map(
-            _square, items, n_workers=3
+        assert executor_map(_square, items, jobs=1) == executor_map(
+            _square, items, jobs=3
         )
 
 
 class TestWorkerResolutionOrder:
-    """Regression: parallel_map resolves workers like every other runtime
-    entry point — explicit argument (0 included) beats ``REPRO_JOBS``,
-    ``None`` falls back to the environment, and the default is serial.
-    Historically the shim ignored ``REPRO_JOBS`` entirely."""
+    """``executor_map`` sizes its pool like every other runtime entry
+    point: an explicit ``jobs`` (0 included) beats ``REPRO_JOBS``, ``None``
+    falls back to the environment, and the default is serial."""
 
-    def test_none_falls_back_to_repro_jobs(self, monkeypatch):
-        recorded = {}
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The ``(kind, workers)`` of every executor ``executor_map`` builds."""
+        from repro.runtime import executor as executor_module
 
-        def spy(fn, items, jobs=None, kind=None):
-            recorded["jobs"] = jobs
-            return [fn(item) for item in items]
+        built = []
+        real_get_executor = executor_module.get_executor
 
-        monkeypatch.setattr("repro.utils.parallel._executor_map", spy)
+        def spy(jobs, n_tasks, kind):
+            executor = real_get_executor(jobs, n_tasks, kind=kind)
+            built.append((executor.kind, executor.workers))
+            return executor
+
+        monkeypatch.setattr(executor_module, "get_executor", spy)
+        return built
+
+    def test_none_falls_back_to_repro_jobs(self, monkeypatch, built):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert parallel_map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-        assert recorded["jobs"] == 3
+        assert executor_map(_square, [1, 2, 3, 4], kind="thread") == [1, 4, 9, 16]
+        assert built == [("thread", 3)]
 
-    def test_explicit_argument_beats_environment(self, monkeypatch):
-        recorded = {}
-
-        def spy(fn, items, jobs=None, kind=None):
-            recorded["jobs"] = jobs
-            return [fn(item) for item in items]
-
-        monkeypatch.setattr("repro.utils.parallel._executor_map", spy)
+    def test_explicit_argument_beats_environment(self, monkeypatch, built):
         monkeypatch.setenv("REPRO_JOBS", "7")
-        parallel_map(_square, [1, 2, 3, 4], n_workers=2)
-        assert recorded["jobs"] == 2
+        executor_map(_square, [1, 2, 3, 4], jobs=2, kind="thread")
+        assert built == [("thread", 2)]
         # Explicit 0 (serial) also wins over the environment.
-        parallel_map(_square, [1, 2, 3, 4], n_workers=0)
-        assert recorded["jobs"] == 1
+        executor_map(_square, [1, 2, 3, 4], jobs=0, kind="thread")
+        assert built[-1] == ("serial", 1)
 
-    def test_default_without_environment_is_serial(self, monkeypatch):
-        recorded = {}
-
-        def spy(fn, items, jobs=None, kind=None):
-            recorded["jobs"] = jobs
-            return [fn(item) for item in items]
-
-        monkeypatch.setattr("repro.utils.parallel._executor_map", spy)
+    def test_default_without_environment_is_serial(self, monkeypatch, built):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        parallel_map(_square, [1, 2, 3, 4])
-        assert recorded["jobs"] == 1
+        executor_map(_square, [1, 2, 3, 4], kind="thread")
+        assert built == [("serial", 1)]
 
     def test_repro_jobs_changes_real_execution(self, monkeypatch):
-        """End to end (no spy): REPRO_JOBS=2 actually runs and returns the
-        same ordered results as serial."""
+        """End to end (no spy): REPRO_JOBS=2 actually runs processes and
+        returns the same ordered results as serial."""
         monkeypatch.setenv("REPRO_JOBS", "2")
-        assert parallel_map(_square, list(range(8))) == [x * x for x in range(8)]
+        assert executor_map(_square, list(range(8))) == [x * x for x in range(8)]
 
 
 class TestExperimentDeterminismAcrossWorkers:
