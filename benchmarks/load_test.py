@@ -16,6 +16,12 @@ measurement on small CI boxes. Each request rides its own connection
 (``Connection: close``), which is the worst case for the server's
 accept path and exactly what the fleet's shared listener is for.
 
+``--keep-alive N`` (:func:`run_keepalive_test`) is the other case real
+clients create: N persistent HTTP/1.1 connections, each sending its next
+request as soon as the previous response (framed by ``Content-Length``)
+has arrived — a closed loop that exposes per-request transport stalls
+such as the delayed-ACK wait a split response write causes.
+
 Everything is seeded: the same ``--seed`` replays the same arrival
 schedule and the same payload order, so before/after comparisons see
 identical traffic.
@@ -24,6 +30,8 @@ Usage (against any running ``repro-bellamy serve`` / fleet URL)::
 
     PYTHONPATH=src python benchmarks/load_test.py --url http://127.0.0.1:8080 \
         -n 2000 --rps 400 --max-open 1000
+    PYTHONPATH=src python benchmarks/load_test.py --url http://127.0.0.1:8080 \
+        -n 2000 --keep-alive 8
 
 The harness is also imported by ``run_bench.py`` (``bench_serve_fleet``)
 to produce the per-worker-count scaling curves in ``BENCH_micro.json``.
@@ -82,6 +90,8 @@ class LoadTestResult:
     rps_target: float
     shape: float
     seed: int
+    #: TCP connections the harness opened.
+    connections: int = 0
     bodies: List[Any] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -97,7 +107,7 @@ class LoadTestResult:
 class _Connection:
     """One in-flight request: raw bytes out, raw HTTP response in."""
 
-    __slots__ = ("sock", "outbuf", "inbuf", "index", "scheduled", "header_end")
+    __slots__ = ("sock", "outbuf", "inbuf", "index", "scheduled")
 
     def __init__(self, sock: socket.socket, outbuf: bytes, index: int, scheduled: float):
         self.sock = sock
@@ -105,17 +115,36 @@ class _Connection:
         self.inbuf = b""
         self.index = index
         self.scheduled = scheduled
-        self.header_end = -1
 
 
-def _raw_request(host: str, port: int, path: str, body: bytes) -> bytes:
+def _raw_request(host: str, port: int, path: str, body: bytes, close: bool = True) -> bytes:
     return (
         f"POST {path} HTTP/1.1\r\n"
         f"Host: {host}:{port}\r\n"
         "Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
     ).encode("ascii") + body
+
+
+def _response_length(buf: bytes) -> int:
+    """Bytes of the first complete response in ``buf``, or 0 while incomplete."""
+    header_end = buf.find(b"\r\n\r\n")
+    if header_end < 0:
+        return 0
+    length = 0
+    for line in buf[:header_end].split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    total = header_end + 4 + length
+    return total if len(buf) >= total else 0
+
+
+def _wants_close(raw: bytes) -> bool:
+    head = raw.partition(b"\r\n\r\n")[0].lower()
+    return b"\r\nconnection: close" in head
 
 
 def _parse_response(raw: bytes) -> Tuple[int, Any]:
@@ -169,11 +198,13 @@ def run_load_test(
     next_up = 0
     open_count = 0
     peak_open = 0
+    launched = 0
     started = time.perf_counter()
     deadline = started + timeout_s
 
     def _launch(index: int, scheduled: float) -> None:
-        nonlocal open_count, peak_open
+        nonlocal open_count, peak_open, launched
+        launched += 1
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setblocking(False)
         sock.connect_ex((host, port))
@@ -240,9 +271,23 @@ def run_load_test(
         _finish(key.data, ok=False)
     selector.close()
     wall = time.perf_counter() - started
+    return _result(
+        n_requests, completed, errors, wall, latencies[:completed],
+        peak_open=peak_open, max_open=max_open, rps_target=rps, shape=shape,
+        seed=seed, connections=launched, bodies=captured,
+    )
 
-    done = sorted(latencies[:completed]) or [0.0]
-    result = LoadTestResult(
+
+def _result(
+    n_requests: int,
+    completed: int,
+    errors: int,
+    wall: float,
+    latencies: Sequence[float],
+    **fields: Any,
+) -> LoadTestResult:
+    done = sorted(latencies) or [0.0]
+    return LoadTestResult(
         requests=n_requests,
         completed=completed,
         errors=errors,
@@ -252,14 +297,123 @@ def run_load_test(
         latency_p95_ms=done[min(len(done) - 1, int(len(done) * 0.95))] * 1e3,
         latency_p99_ms=done[min(len(done) - 1, int(len(done) * 0.99))] * 1e3,
         latency_max_ms=done[-1] * 1e3,
-        peak_open=peak_open,
-        max_open=max_open,
-        rps_target=rps,
-        shape=shape,
-        seed=seed,
-        bodies=captured,
+        **fields,
     )
-    return result
+
+
+def run_keepalive_test(
+    url: str,
+    payloads: Sequence[Dict[str, Any]],
+    n_requests: int = 1000,
+    clients: int = 8,
+    path: str = "/predict",
+    capture: bool = False,
+    timeout_s: float = 300.0,
+) -> LoadTestResult:
+    """Send ``n_requests`` POSTs over ``clients`` persistent connections.
+
+    A closed loop: each connection sends its next request as soon as the
+    previous response has been read in full (framed by its
+    ``Content-Length``), so per-request latency is the pure round trip and
+    any fixed per-request stall shows in ``requests_per_s``. Payloads
+    cycle round-robin as in :func:`run_load_test`. A connection the server
+    closes (an error, or a response saying ``Connection: close``) is
+    reopened for the next request; ``connections`` counts every open, so
+    a healthy keep-alive run reports exactly ``clients``.
+    """
+    parts = urlsplit(url)
+    host, port = parts.hostname or "127.0.0.1", parts.port or 80
+    bodies = [json.dumps(p).encode("utf-8") for p in payloads]
+    selector = selectors.DefaultSelector()
+    latencies: List[float] = []
+    captured: List[Any] = [None] * n_requests if capture else []
+    errors = 0
+    completed = 0
+    next_up = 0
+    opened = 0
+    started = time.perf_counter()
+    deadline = started + timeout_s
+
+    def _send_next(conn: Optional[_Connection]) -> None:
+        """Put the next request on ``conn`` (a new connection when None)."""
+        nonlocal next_up, opened
+        if next_up >= n_requests:
+            if conn is not None:
+                selector.unregister(conn.sock)
+                conn.sock.close()
+            return
+        request = _raw_request(host, port, path, bodies[next_up % len(bodies)], close=False)
+        if conn is None:
+            sock = socket.create_connection((host, port))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+            opened += 1
+            conn = _Connection(sock, request, next_up, time.perf_counter())
+            selector.register(sock, selectors.EVENT_WRITE, conn)
+        else:
+            conn.outbuf, conn.inbuf = request, b""
+            conn.index, conn.scheduled = next_up, time.perf_counter()
+            selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+        next_up += 1
+
+    def _fail(conn: _Connection) -> None:
+        nonlocal errors, completed
+        errors += 1
+        completed += 1
+        selector.unregister(conn.sock)
+        conn.sock.close()
+        _send_next(None)
+
+    for _ in range(min(clients, n_requests)):
+        _send_next(None)
+    while completed < n_requests and time.perf_counter() < deadline:
+        for key, _events in selector.select(timeout=0.05):
+            conn: _Connection = key.data
+            try:
+                if conn.outbuf:
+                    sent = conn.sock.send(conn.outbuf)
+                    conn.outbuf = conn.outbuf[sent:]
+                    if not conn.outbuf:
+                        selector.modify(conn.sock, selectors.EVENT_READ, conn)
+                    continue
+                chunk = conn.sock.recv(65536)
+            except (BlockingIOError, InterruptedError):
+                continue
+            except OSError:
+                _fail(conn)
+                continue
+            if not chunk:  # closed before a whole response arrived
+                _fail(conn)
+                continue
+            conn.inbuf += chunk
+            length = _response_length(conn.inbuf)
+            if not length:
+                continue
+            raw = conn.inbuf[:length]
+            latencies.append(time.perf_counter() - conn.scheduled)
+            completed += 1
+            status, parsed = _parse_response(raw)
+            if status != 200:
+                errors += 1
+            if capture:
+                captured[conn.index] = parsed if status == 200 else None
+            if _wants_close(raw):
+                selector.unregister(conn.sock)
+                conn.sock.close()
+                _send_next(None)
+            else:
+                _send_next(conn)
+
+    for key in list(selector.get_map().values()):
+        key.data.sock.close()
+        errors += 1
+    selector.close()
+    wall = time.perf_counter() - started
+    return _result(
+        n_requests, completed, errors, wall, latencies,
+        peak_open=clients, max_open=clients, rps_target=0.0, shape=0.0,
+        seed=0, connections=opened, bodies=captured,
+    )
 
 
 def main() -> int:
@@ -270,6 +424,11 @@ def main() -> int:
     parser.add_argument("--max-open", type=int, default=1000)
     parser.add_argument("--shape", type=float, default=1.5)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--keep-alive", type=int, default=0, metavar="N",
+        help="closed loop over N persistent connections instead of open-loop "
+        "Connection: close arrivals (--rps/--max-open/--shape/--seed unused)",
+    )
     args = parser.parse_args()
 
     from repro.data import generate_c3o_dataset
@@ -281,15 +440,20 @@ def main() -> int:
         predict_payload(contexts[i % len(contexts)], machine_lists[i % len(machine_lists)])
         for i in range(16)
     ]
-    result = run_load_test(
-        args.url,
-        payloads,
-        n_requests=args.requests,
-        rps=args.rps,
-        max_open=args.max_open,
-        shape=args.shape,
-        seed=args.seed,
-    )
+    if args.keep_alive:
+        result = run_keepalive_test(
+            args.url, payloads, n_requests=args.requests, clients=args.keep_alive
+        )
+    else:
+        result = run_load_test(
+            args.url,
+            payloads,
+            n_requests=args.requests,
+            rps=args.rps,
+            max_open=args.max_open,
+            shape=args.shape,
+            seed=args.seed,
+        )
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 1 if result.errors else 0
 

@@ -65,17 +65,25 @@ def nnls(
         passive[j] = True
 
         # Inner loop: solve the unconstrained LS on P, backtrack while any
-        # passive coefficient would go non-positive.
-        while True:
+        # passive coefficient would go non-positive. In exact arithmetic each
+        # backtracking step drops at least one variable from P, so n steps
+        # suffice; the cap also ends the loop when rounding leaves a blocking
+        # variable just above ``tol``.
+        for _ in range(n):
             cols = np.where(passive)[0]
             s = np.zeros(n)
             solution, *_ = np.linalg.lstsq(A[:, cols], b, rcond=None)
             s[cols] = solution
-            if s[cols].min() > 0:
+            if not np.isfinite(s).all() or s[cols].min() > 0:
                 break
             # Line search towards s, stopping at the first variable to hit 0.
+            # Each ratio lies in [0, 1]; a variable already at 0 with a zero
+            # LS coefficient (0 / 0) blocks at once: its ratio is 0, not NaN.
             blocking = cols[s[cols] <= 0]
-            ratios = x[blocking] / (x[blocking] - s[blocking])
+            step = x[blocking] - s[blocking]
+            ratios = np.divide(
+                x[blocking], step, out=np.zeros_like(step), where=step > 0
+            )
             alpha = ratios.min()
             x = x + alpha * (s - x)
             # Variables that reached (numerical) zero leave the passive set.
@@ -84,6 +92,13 @@ def nnls(
             if not passive.any():
                 s = np.zeros(n)
                 break
+        else:
+            s = x  # cap reached: keep the feasible iterate
+        if not np.isfinite(s).all():
+            # A (numerically) zero column overflowed its LS coefficient; its
+            # dual is at the underflow scale, so the last finite iterate is
+            # as optimal as float64 can express.
+            break
         x = np.where(passive, s, 0.0)
         w = A.T @ (b - A @ x)
 

@@ -8,8 +8,10 @@ the request path a production :class:`HttpServeClient` would:
     Drives a :class:`~repro.serve.server.ServeApp` directly (no sockets).
     This is the client tests and notebooks should use.
 :class:`HttpServeClient`
-    ``urllib``-based client of a running
-    :class:`~repro.serve.server.PredictionServer`.
+    Client of a running :class:`~repro.serve.server.PredictionServer` over
+    pooled persistent HTTP/1.1 connections: thread-safe, one connection
+    per concurrent caller, a reused connection the server has closed is
+    replaced once, and :meth:`~HttpServeClient.close` releases the pool.
 
 Non-2xx responses raise :class:`ServeError` carrying the structured body::
 
@@ -23,11 +25,13 @@ Non-2xx responses raise :class:`ServeError` carrying the structured body::
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -67,6 +71,11 @@ class ServeUnavailableError(ConnectionError):
         super().__init__(f"server unreachable at {url}: {reason}")
         self.url = url
         self.reason = reason
+
+
+#: How a reused keep-alive connection fails when the server has closed it:
+#: the request is lost before any status line, so one resend is safe.
+_STALE_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 def _samples_payload(
@@ -203,6 +212,18 @@ class ServeClient(_BaseClient):
 class HttpServeClient(_BaseClient):
     """HTTP client of a running :class:`PredictionServer` (stdlib only).
 
+    Requests travel over persistent HTTP/1.1 connections (``http.client``)
+    kept in a lock-protected pool of idle connections, so one client can be
+    shared by many threads: each call borrows an idle connection (or opens
+    one), and returns it once the response has been read in full and did
+    not say ``Connection: close``. A *reused* connection the server has
+    since closed (its idle timeout, a restart) fails before any status
+    line arrives; the call is then retried once on a fresh connection. A
+    fresh connection that fails is never retried this way. After a
+    ``fork()`` the child ignores the inherited pool and opens its own
+    connections. :meth:`close` closes the idle connections (the client
+    stays usable); the client is also a context manager.
+
     Connection failures (refused, DNS, socket timeout) raise
     :class:`ServeUnavailableError` with the attempted URL. An optional
     :class:`~repro.resilience.RetryPolicy` makes the client ride out
@@ -214,8 +235,8 @@ class HttpServeClient(_BaseClient):
     Example::
 
         with PredictionServer(session, port=0) as server:
-            client = HttpServeClient(server.url, retry=RetryPolicy(max_attempts=3))
-            runtimes = client.predict(context, [4, 8])
+            with HttpServeClient(server.url, retry=RetryPolicy(max_attempts=3)) as client:
+                runtimes = client.predict(context, [4, 8])
     """
 
     def __init__(
@@ -229,6 +250,33 @@ class HttpServeClient(_BaseClient):
         self.timeout_s = timeout_s
         self.retry = retry
         self._sleep = sleep
+        parts = urlsplit(self.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        self._host = parts.hostname or "127.0.0.1"
+        self._port = parts.port
+        self._prefix = parts.path
+        self._lock = threading.Lock()
+        self._idle: List[http.client.HTTPConnection] = []
+        self._pid = os.getpid()
+
+    def close(self) -> None:
+        """Close the pooled idle connections.
+
+        The client stays usable: a later call opens a new connection.
+        Calls in flight on other threads keep their connections.
+        """
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "HttpServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _request(
         self,
@@ -290,26 +338,72 @@ class HttpServeClient(_BaseClient):
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         url = self.base_url + path
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
         timeout = timeout_s if timeout_s is not None else self.timeout_s
+        conn: Optional[http.client.HTTPConnection] = None
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                raw = response.read().decode("utf-8")
-                content_type = response.headers.get("Content-Type", "")
-                if "application/json" not in content_type:
-                    # e.g. /metrics: Prometheus text
-                    return response.status, raw, response.headers
-                return response.status, json.loads(raw), response.headers
-        except urllib.error.HTTPError as error:
-            body = error.read().decode("utf-8", errors="replace")
+            conn, reused = self._acquire(timeout)
             try:
-                parsed = json.loads(body)
-            except json.JSONDecodeError:
-                parsed = {"error": "non_json_response", "detail": body}
-            return error.code, parsed, error.headers
-        except urllib.error.URLError as error:
-            raise ServeUnavailableError(url, error.reason) from error
-        except (TimeoutError, OSError) as error:
+                response = self._exchange(conn, method, path, data, headers)
+            except _STALE_ERRORS:
+                conn.close()
+                if not reused:
+                    raise
+                # The server closed the idle connection before our request
+                # reached it (no status line came back): send it once more.
+                conn = self._connect(timeout)
+                response = self._exchange(conn, method, path, data, headers)
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            if conn is not None:
+                conn.close()
             raise ServeUnavailableError(url, error) from error
+        if response.will_close:
+            conn.close()
+        else:
+            self._release(conn)
+        text = raw.decode("utf-8", errors="replace")
+        if response.status >= 300:
+            try:
+                parsed = json.loads(text)
+            except json.JSONDecodeError:
+                parsed = {"error": "non_json_response", "detail": text}
+            return response.status, parsed, response.headers
+        if "application/json" not in response.headers.get("Content-Type", ""):
+            return response.status, text, response.headers  # e.g. /metrics
+        return response.status, json.loads(text), response.headers
+
+    def _exchange(
+        self,
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        data: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> http.client.HTTPResponse:
+        conn.request(method, self._prefix + path, body=data, headers=headers)
+        return conn.getresponse()
+
+    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+        conn = self._connection_class(self._host, self._port, timeout=timeout)
+        conn.connect()
+        return conn
+
+    def _acquire(self, timeout: float) -> Tuple[http.client.HTTPConnection, bool]:
+        """An idle pooled connection (``reused=True``) or a new one."""
+        with self._lock:
+            if self._pid != os.getpid():  # forked child: start a pool of its own
+                self._idle = []
+                self._pid = os.getpid()
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            return self._connect(timeout), False
+        conn.timeout = timeout
+        conn.sock.settimeout(timeout)
+        return conn, True
+
+    def _release(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if self._pid == os.getpid():
+                self._idle.append(conn)
+                return
+        conn.close()

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import nnls as scipy_nnls
 
 from repro.baselines.nnls import check_kkt, nnls
+
+#: A column so small (subnormal) that its least-squares coefficient
+#: overflows to inf; the unguarded solver then spun forever on 0/0 ratios.
+SUBNORMAL_COLUMN_A = np.zeros((8, 3))
+SUBNORMAL_COLUMN_A[0, 0] = 2.2250738585e-313
+ONES_8 = np.ones(8)
 
 
 class TestBasics:
@@ -84,6 +90,7 @@ class TestAgainstScipy:
         hnp.arrays(np.float64, (8,), elements=st.floats(-10, 10, allow_nan=False)),
     )
     @settings(max_examples=60, deadline=None)
+    @example(SUBNORMAL_COLUMN_A, ONES_8)
     def test_kkt_conditions_hold(self, A, b):
         x, _ = nnls(A, b)
         assert check_kkt(A, b, x, tol=1e-6)
@@ -95,6 +102,26 @@ class TestAgainstScipy:
         x, residual = nnls(A, b)
         _, scipy_residual = scipy_nnls(A, b)
         assert residual == pytest.approx(scipy_residual, abs=1e-8)
+
+
+class TestTermination:
+    """Inputs that made the inner backtracking loop spin forever."""
+
+    def test_overflowing_subnormal_column(self):
+        x, residual = nnls(SUBNORMAL_COLUMN_A, ONES_8)
+        assert np.isfinite(x).all() and (x >= 0).all()
+        assert np.isfinite(residual)
+        assert check_kkt(SUBNORMAL_COLUMN_A, ONES_8, x, tol=1e-6)
+
+    def test_zero_ratio_blocks_instead_of_nan(self):
+        # Column 1 sits below lstsq's rank cutoff, so its LS coefficient is
+        # exactly 0 while the variable is at 0: the line-search ratio 0 / 0
+        # must block the step (ratio 0), not turn the iterate into NaN.
+        A = np.array([[1.0, 0.0], [0.0, 1e-20]])
+        b = np.array([1.0, 1e10])
+        x, _ = nnls(A, b)
+        np.testing.assert_array_equal(x, [1.0, 0.0])
+        assert check_kkt(A, b, x, tol=1e-6)
 
 
 class TestCheckKkt:
