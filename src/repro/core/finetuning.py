@@ -21,7 +21,6 @@ reaches 5 seconds or no improvement was seen for 1000 epochs (2500 max).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,8 +34,8 @@ from repro.data.schema import JobContext
 from repro.nn.batched import (
     BatchedAdam,
     BatchedModelBank,
-    GroupProgress,
-    ParamSnapshots,
+    arch_signature,
+    fit_groups,
     huber_loss_batched,
 )
 from repro.nn.losses import HuberLoss
@@ -96,6 +95,34 @@ class FinetuneFailure:
     error: str
 
 
+def _samples(
+    machines: Sequence[float], runtimes: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fine-tuning samples as equal-length 1-D float arrays (at least one)."""
+    machines = np.asarray(machines, dtype=np.float64).reshape(-1)
+    runtimes = np.asarray(runtimes, dtype=np.float64).reshape(-1)
+    if machines.size == 0:
+        raise ValueError("fine-tuning requires at least one sample; "
+                         "use the pre-trained model directly for zero-shot prediction")
+    if machines.shape != runtimes.shape:
+        raise ValueError("machines and runtimes must have equal length")
+    return machines, runtimes
+
+
+def _result(
+    model: BellamyModel, strategy: str, result: TrainResult, wall: float
+) -> FinetuneResult:
+    return FinetuneResult(
+        model=model,
+        strategy=strategy,
+        epochs_trained=result.epochs_trained,
+        wall_seconds=wall,
+        final_mae=result.best_metric,
+        stop_reason=result.stop_reason,
+        train_result=result,
+    )
+
+
 def unfreeze_epoch_for(n_samples: int, max_epochs: int = 2500) -> int:
     """Epoch at which ``f`` is unlocked during partial fine-tuning.
 
@@ -133,10 +160,10 @@ def _prepare_model(
     strategy: FinetuneStrategy,
     max_epochs: Optional[int],
     copy: bool,
-) -> Tuple[BellamyModel, BellamyConfig, Optional[int]]:
+) -> Tuple[BellamyModel, Optional[int]]:
     """Clone/reset/freeze a model for fine-tuning (shared serial/batched prep).
 
-    Returns the prepared model, its config, and the epoch at which ``f``
+    Returns the prepared model and the epoch at which ``f``
     unlocks (``None`` when the strategy adapts ``f`` from the start).
     """
     model = _clone_model(base_model) if copy else base_model
@@ -166,7 +193,15 @@ def _prepare_model(
         unfreeze_epoch = unfreeze_epoch_for(n_samples, budget)
     else:
         model.f.unfreeze()
-    return model, config, unfreeze_epoch
+    return model, unfreeze_epoch
+
+
+def _context_arrays(
+    model: BellamyModel, context: JobContext, machines: np.ndarray, runtimes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled features, property matrices and scaled targets of the samples."""
+    scaleout_raw, properties = model.featurizer.build_context_arrays(context, machines)
+    return model.scaler.transform(scaleout_raw), properties, model.normalize_runtimes(runtimes)
 
 
 def _run_finetune_loop(
@@ -174,7 +209,6 @@ def _run_finetune_loop(
     context: JobContext,
     machines: np.ndarray,
     runtimes: np.ndarray,
-    config: BellamyConfig,
     callbacks,
     max_epochs: Optional[int],
     seed_path: Tuple,
@@ -184,9 +218,10 @@ def _run_finetune_loop(
     # forward pass through ``pending_contexts`` (see core.graph_model).
     if hasattr(model, "pending_contexts"):
         model.pending_contexts = [context]
-    scaleout_raw, properties = model.featurizer.build_context_arrays(context, machines)
-    scaled_features = model.scaler.transform(scaleout_raw)
-    scaled_targets = model.normalize_runtimes(runtimes)
+    config = model.config
+    scaled_features, properties, scaled_targets = _context_arrays(
+        model, context, machines, runtimes
+    )
     huber = HuberLoss(delta=config.huber_delta)
 
     # The per-batch graph is structurally identical across epochs, so it is
@@ -258,16 +293,9 @@ def finetune(
     copy:
         Clone the base model first so it can be reused across splits.
     """
-    machines = np.asarray(machines, dtype=np.float64).reshape(-1)
-    runtimes = np.asarray(runtimes, dtype=np.float64).reshape(-1)
-    if machines.size == 0:
-        raise ValueError("fine-tuning requires at least one sample; "
-                         "use the pre-trained model directly for zero-shot prediction")
-    if machines.shape != runtimes.shape:
-        raise ValueError("machines and runtimes must have equal length")
-
+    machines, runtimes = _samples(machines, runtimes)
     started = time.perf_counter()
-    model, config, unfreeze_epoch = _prepare_model(
+    model, unfreeze_epoch = _prepare_model(
         base_model, context, machines.size, strategy, max_epochs, copy
     )
     callbacks = []
@@ -279,54 +307,21 @@ def finetune(
         context,
         machines,
         runtimes,
-        config,
         callbacks,
         max_epochs,
         seed_path=(context.context_id, strategy.value),
     )
-    wall = time.perf_counter() - started
-    return FinetuneResult(
-        model=model,
-        strategy=strategy.value,
-        epochs_trained=result.epochs_trained,
-        wall_seconds=wall,
-        final_mae=result.best_metric,
-        stop_reason=result.stop_reason,
-        train_result=result,
-    )
+    return _result(model, strategy.value, result, time.perf_counter() - started)
 
 
 @dataclass
 class _BatchEntry:
     """One prepared group of a batched fine-tune."""
 
-    index: int
     model: BellamyModel
     context: JobContext
-    machines: np.ndarray
-    runtimes: np.ndarray
-    config: BellamyConfig
     unfreeze_epoch: Optional[int]
-    scaled_features: np.ndarray = field(default=None, repr=False)
-    properties: np.ndarray = field(default=None, repr=False)
-    scaled_targets: np.ndarray = field(default=None, repr=False)
-
-    def arch_key(self) -> tuple:
-        """Groups are batchable together iff this key matches."""
-        return (
-            tuple((n, p.data.shape) for n, p in self.model.named_parameters()),
-            self.properties.shape[1:],
-            self.config.n_essential,
-            self.config.encoding_dim,
-            self.config.use_optional,
-        )
-
-
-class _LrHolder:
-    """Minimal optimizer stand-in so serial LR schedulers drive one group."""
-
-    def __init__(self, lr: float) -> None:
-        self.lr = lr
+    arrays: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
 
 def _run_finetune_loop_batch(
@@ -336,174 +331,81 @@ def _run_finetune_loop_batch(
 ) -> List[TrainResult]:
     """Lockstep Huber-only optimization of N prepared groups on one tape.
 
-    A direct transliteration of :func:`_run_finetune_loop` +
-    :meth:`repro.nn.trainer.Trainer.fit` with the group axis vectorized:
-    per-epoch scheduler step, per-group shuffled batch order (each group's
-    trainer RNG drawn only while that group is active), fused forward/
-    backward over ``(group, batch, features)`` with ragged batches expressed
-    as padding + counts, a masked per-group Adam step, best-state snapshots,
-    and the serial stop order (target, patience, max-epochs) per group.
+    The group-axis version of :func:`_run_finetune_loop`: f and z train
+    (f only for groups past their unfreeze epoch), each group follows its
+    own cyclic LR, and the shuffles, steps and stops run in
+    :func:`~repro.nn.batched.fit_groups`.
     """
-    n_groups = len(entries)
     models = [e.model for e in entries]
-    configs = [e.config for e in entries]
+    configs = [m.config for m in models]
     bank = BatchedModelBank(models)
     delta = np.array([c.huber_delta for c in configs], dtype=np.float64)
-
-    ns = [int(e.machines.size) for e in entries]
-    batch_sizes = [int(c.batch_size) for c in configs]
-    max_epochs_list = [
-        int(max_epochs or c.finetune_max_epochs) for c in configs
-    ]
-    width = max(min(bs, n) for bs, n in zip(batch_sizes, ns))
-    n_props, vec_size = entries[0].properties.shape[1:]
-
-    feats_buf = np.zeros((n_groups, width, 3), dtype=np.float64)
-    props_buf = np.zeros((n_groups, width, n_props, vec_size), dtype=np.float64)
-    targ_buf = np.zeros((n_groups, width), dtype=np.float64)
-    counts = np.zeros(n_groups, dtype=np.float64)
-    dirty = [False] * n_groups
 
     def build(features_t: Tensor, properties_t: Tensor, targets_t: Tensor, counts_t: Tensor):
         prediction, _, _ = bank.forward(features_t, properties_t, counts=counts_t)
         loss = huber_loss_batched(prediction, targets_t, delta=delta, counts=counts_t)
         return loss, prediction
 
-    compiler = GraphCompiler(build, params=bank.parameters)
-
-    f_params = bank.f.params()
-    z_params = bank.z.params()
-    opt_params = f_params + z_params
+    f_params, z_params = bank.f.params(), bank.z.params()
     optimizer = BatchedAdam(
-        opt_params,
-        n_groups,
+        f_params + z_params,
+        len(entries),
         lr=np.array([c.finetune_lr_max for c in configs], dtype=np.float64),
-        weight_decay=np.array(
-            [c.finetune_weight_decay for c in configs], dtype=np.float64
-        ),
+        weight_decay=np.array([c.finetune_weight_decay for c in configs], dtype=np.float64),
     )
-    holders = [_LrHolder(c.finetune_lr_max) for c in configs]
-    schedulers = [
+    # CyclicLR.get_lr is a pure function of the epoch; the optimizer it is
+    # bound to is never written, since fit_groups sets each group's LR.
+    schedules = [
         CyclicLR(
-            holder,
+            optimizer,
             min_lr=c.finetune_lr_min,
             max_lr=c.finetune_lr_max,
             cycle_length=c.finetune_lr_cycle,
-        )
-        for holder, c in zip(holders, configs)
+        ).get_lr
+        for c in configs
     ]
-    progress = GroupProgress(
-        n_groups,
-        monitor="mae",
-        targets=[c.finetune_target_mae for c in configs],
-        patiences=[c.finetune_patience for c in configs],
-        max_epochs=max_epochs_list,
-    )
-    snapshots = ParamSnapshots(opt_params)
-    trainer_rngs = [
-        new_rng(
-            derive_seed(
-                c.seed, "finetune-loop", e.context.context_id, strategy.value
-            )
-        )
-        for c, e in zip(configs, entries)
-    ]
-    indices_list = [np.arange(n) for n in ns]
-    f_unfrozen = [e.unfreeze_epoch is None for e in entries]
-    lrs = np.array([c.finetune_lr_max for c in configs], dtype=np.float64)
-    z_mask = np.zeros(n_groups, dtype=bool)
+    f_unfrozen = np.array([e.unfreeze_epoch is None for e in entries])
 
-    for model in models:
-        model.train()
-    bank.train()
-
-    epoch = 0
-    while progress.any_active:
-        epoch_active = [g for g in range(n_groups) if progress.active[g]]
-        for g in epoch_active:
-            lrs[g] = schedulers[g].step()
-        optimizer.set_lr(lrs)
-        orders = {g: trainer_rngs[g].permutation(indices_list[g]) for g in epoch_active}
-        n_batches = {
-            g: math.ceil(ns[g] / batch_sizes[g]) for g in epoch_active
-        }
-        total_loss = [0.0] * n_groups
-        total_mae = [0.0] * n_groups
-        seen = [0] * n_groups
-
-        for b in range(max(n_batches.values())):
-            z_mask[:] = False
-            for g in range(n_groups):
-                if g in n_batches and b < n_batches[g]:
-                    bs = batch_sizes[g]
-                    idx = orders[g][b * bs : b * bs + bs]
-                    c = idx.size
-                    feats_buf[g, :c] = entries[g].scaled_features[idx]
-                    props_buf[g, :c] = entries[g].properties[idx]
-                    targ_buf[g, :c] = entries[g].scaled_targets[idx]
-                    if c < width:
-                        feats_buf[g, c:] = 0.0
-                        props_buf[g, c:] = 0.0
-                        targ_buf[g, c:] = 0.0
-                    counts[g] = float(c)
-                    z_mask[g] = True
-                    dirty[g] = True
-                else:
-                    counts[g] = 0.0
-                    if dirty[g]:
-                        feats_buf[g] = 0.0
-                        props_buf[g] = 0.0
-                        targ_buf[g] = 0.0
-                        dirty[g] = False
-
-            optimizer.zero_grad()
-            loss_t, prediction = compiler.run(feats_buf, props_buf, targ_buf, counts)
-            if loss_t.requires_grad:
-                compiler.backward()
-                f_mask = z_mask & np.asarray(f_unfrozen, dtype=bool)
-                masks = [f_mask] * len(f_params) + [z_mask] * len(z_params)
-                optimizer.step(masks)
-
-            for g in range(n_groups):
-                if not z_mask[g]:
-                    continue
-                c = int(counts[g])
-                residual = models[g].denormalize_runtimes(
-                    prediction.data[g, :c] - targ_buf[g, :c]
-                )
-                total_loss[g] += float(loss_t.data[g]) * c
-                total_mae[g] += float(np.abs(residual).mean()) * c
-                seen[g] += c
-
-        metrics_map = {}
-        for g in epoch_active:
-            epoch_metrics = {
-                "loss": total_loss[g] / seen[g],
-                "mae": total_mae[g] / seen[g],
-                "lr": lrs[g],
-            }
-            metrics_map[g] = epoch_metrics
-            if progress.record(g, epoch, epoch_metrics):
-                snapshots.save(g)
-        for g in epoch_active:
-            unfreeze_epoch = entries[g].unfreeze_epoch
-            if unfreeze_epoch is not None and epoch + 1 == unfreeze_epoch:
+    def unfreeze_due(epoch: int, active: List[int]) -> None:
+        for g in active:
+            if epoch + 1 == entries[g].unfreeze_epoch:
                 f_unfrozen[g] = True
                 models[g].f.unfreeze()
                 if not bank.f.weight1.requires_grad:
                     # First group to unlock f: the stacked parameters become
                     # trainable and the compiler re-records on the next run.
                     bank.f.set_trainable(True)
-        for g in epoch_active:
-            progress.check_stop(g, epoch, metrics_map[g])
-        epoch += 1
 
-    for g in range(n_groups):
-        snapshots.restore(g)
-    bank.write_back()
+    for model in models:
+        model.train()
+    results = fit_groups(
+        bank,
+        build,
+        optimizer,
+        [e.arrays for e in entries],
+        rows=[np.arange(e.arrays[2].size) for e in entries],
+        rngs=[
+            new_rng(derive_seed(c.seed, "finetune-loop", e.context.context_id, strategy.value))
+            for c, e in zip(configs, entries)
+        ],
+        batch_sizes=[int(c.batch_size) for c in configs],
+        max_epochs=[int(max_epochs or c.finetune_max_epochs) for c in configs],
+        targets=[c.finetune_target_mae for c in configs],
+        patiences=[c.finetune_patience for c in configs],
+        gates=[f_unfrozen] * len(f_params) + [None] * len(z_params),
+        lr_schedules=schedules,
+        on_epoch_end=unfreeze_due,
+    )
     for model in models:
         model.eval()
-    return [progress.result(g) for g in range(n_groups)]
+    return results
+
+
+def _failure(item, strategy: FinetuneStrategy, exc: Exception) -> FinetuneFailure:
+    context = item[1] if isinstance(item, (tuple, list)) and len(item) > 1 else None
+    return FinetuneFailure(
+        context=context, strategy=strategy.value, error=f"{type(exc).__name__}: {exc}"
+    )
 
 
 def finetune_batch(
@@ -536,85 +438,42 @@ def finetune_batch(
     for i, item in enumerate(items):
         try:
             base_model, context, machines, runtimes = item
-            machines = np.asarray(machines, dtype=np.float64).reshape(-1)
-            runtimes = np.asarray(runtimes, dtype=np.float64).reshape(-1)
-            if machines.size == 0:
-                raise ValueError(
-                    "fine-tuning requires at least one sample; use the "
-                    "pre-trained model directly for zero-shot prediction"
-                )
-            if machines.shape != runtimes.shape:
-                raise ValueError("machines and runtimes must have equal length")
+            machines, runtimes = _samples(machines, runtimes)
             if hasattr(base_model, "pending_contexts"):
                 serial_items.append(i)
                 continue
-            model, config, unfreeze_epoch = _prepare_model(
+            model, unfreeze_epoch = _prepare_model(
                 base_model, context, machines.size, strategy, max_epochs, copy
             )
-            scaleout_raw, properties = model.featurizer.build_context_arrays(
-                context, machines
-            )
-            entry = _BatchEntry(
-                index=i,
+            prepared[i] = _BatchEntry(
                 model=model,
                 context=context,
-                machines=machines,
-                runtimes=runtimes,
-                config=config,
                 unfreeze_epoch=unfreeze_epoch,
-                scaled_features=model.scaler.transform(scaleout_raw),
-                properties=properties,
-                scaled_targets=model.normalize_runtimes(runtimes),
+                arrays=_context_arrays(model, context, machines, runtimes),
             )
-            prepared[i] = entry
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
-            context = item[1] if isinstance(item, (tuple, list)) and len(item) > 1 else None
-            results[i] = FinetuneFailure(
-                context=context,
-                strategy=strategy.value,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            results[i] = _failure(item, strategy, exc)
 
     subgroups: Dict[tuple, List[int]] = {}
     for i, entry in prepared.items():
-        subgroups.setdefault(entry.arch_key(), []).append(i)
+        key = arch_signature(entry.model, entry.arrays[1])
+        subgroups.setdefault(key, []).append(i)
 
-    for key, members in subgroups.items():
+    for members in subgroups.values():
         if len(members) < 2:
             serial_items.extend(members)
             continue
         entries = [prepared[i] for i in members]
         train_results = _run_finetune_loop_batch(entries, strategy, max_epochs)
         wall = time.perf_counter() - started
-        for entry, train_result in zip(entries, train_results):
-            results[entry.index] = FinetuneResult(
-                model=entry.model,
-                strategy=strategy.value,
-                epochs_trained=train_result.epochs_trained,
-                wall_seconds=wall,
-                final_mae=train_result.best_metric,
-                stop_reason=train_result.stop_reason,
-                train_result=train_result,
-            )
+        for i, entry, train_result in zip(members, entries, train_results):
+            results[i] = _result(entry.model, strategy.value, train_result, wall)
 
     for i in serial_items:
         try:
-            base_model, context, machines, runtimes = items[i]
-            results[i] = finetune(
-                base_model,
-                context,
-                machines,
-                runtimes,
-                strategy=strategy,
-                max_epochs=max_epochs,
-                copy=copy,
-            )
+            results[i] = finetune(*items[i], strategy=strategy, max_epochs=max_epochs, copy=copy)
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
-            results[i] = FinetuneFailure(
-                context=items[i][1],
-                strategy=strategy.value,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            results[i] = _failure(items[i], strategy, exc)
 
     return results
 
@@ -658,18 +517,8 @@ def train_local(
         context,
         machines,
         runtimes,
-        config,
         callbacks=(),
         max_epochs=max_epochs,
         seed_path=(context.context_id, "local"),
     )
-    wall = time.perf_counter() - started
-    return FinetuneResult(
-        model=model,
-        strategy="local",
-        epochs_trained=result.epochs_trained,
-        wall_seconds=wall,
-        final_mae=result.best_metric,
-        stop_reason=result.stop_reason,
-        train_result=result,
-    )
+    return _result(model, "local", result, time.perf_counter() - started)

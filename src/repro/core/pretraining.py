@@ -15,7 +15,6 @@ corpus policies of the evaluation are provided:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -33,8 +32,8 @@ from repro.data.schema import JobContext
 from repro.nn.batched import (
     BatchedAdam,
     BatchedModelBank,
-    GroupProgress,
-    ParamSnapshots,
+    arch_signature,
+    fit_groups,
     huber_loss_batched,
     mse_loss_batched,
 )
@@ -94,6 +93,87 @@ def _mae_seconds(model: BellamyModel, prediction: Tensor, target_scaled: np.ndar
     return float(np.abs(residual).mean())
 
 
+@dataclass
+class _Corpus:
+    """A model with its scaled corpus arrays and train/validation split."""
+
+    algorithm: Optional[str]
+    config: BellamyConfig
+    model: BellamyModel
+    n_samples: int
+    n_contexts: int
+    arrays: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    train_idx: np.ndarray = field(repr=False)
+    val_idx: np.ndarray = field(repr=False)
+
+
+def _prepare_corpus(
+    dataset: ExecutionDataset,
+    algorithm: Optional[str],
+    config: Optional[BellamyConfig],
+    seed: Optional[int],
+    epochs: Optional[int],
+    model_factory: Optional[Callable[[BellamyConfig], BellamyModel]] = None,
+) -> _Corpus:
+    """Apply the overrides, filter the corpus, fit the scalers, split train/validation."""
+    config = config or BellamyConfig()
+    if seed is not None:
+        config = config.with_overrides(seed=seed)
+    if epochs is not None:
+        config = config.with_overrides(pretrain_epochs=epochs)
+    corpus = dataset.for_algorithm(algorithm) if algorithm is not None else dataset
+    if len(corpus) == 0:
+        raise ValueError(f"no executions of algorithm {algorithm!r} in the corpus")
+    model = (model_factory or BellamyModel)(config)
+    scaleout_raw, properties, runtimes = model.featurizer.build_arrays(corpus)
+    model.fit_scaler(scaleout_raw)
+    model.set_runtime_scale(runtimes)
+
+    # Train/validation split for model selection / monitoring.
+    rng = new_rng(derive_seed(config.seed, "pretrain-split", str(algorithm)))
+    n = len(corpus)
+    permutation = rng.permutation(n)
+    n_val = int(round(config.validation_fraction * n))
+    train_idx = permutation[n_val:]
+    if train_idx.size == 0:
+        raise ValueError("validation fraction leaves no training data")
+    return _Corpus(
+        algorithm=algorithm,
+        config=config,
+        model=model,
+        n_samples=n,
+        n_contexts=len(corpus.contexts()),
+        arrays=(
+            model.scaler.transform(scaleout_raw),
+            properties,
+            model.normalize_runtimes(runtimes),
+        ),
+        train_idx=train_idx,
+        val_idx=permutation[:n_val],
+    )
+
+
+def _result(
+    prep: _Corpus, variant: str, train_result: TrainResult, wall: float
+) -> PretrainResult:
+    config = prep.config
+    return PretrainResult(
+        model=prep.model,
+        algorithm=prep.algorithm or "*",
+        variant=variant,
+        n_samples=prep.n_samples,
+        n_contexts=prep.n_contexts,
+        wall_seconds=wall,
+        train_result=train_result,
+        validation_mae=train_result.best_metric if prep.val_idx.size else None,
+        hyperparameters={
+            "dropout": config.dropout,
+            "learning_rate": config.learning_rate,
+            "weight_decay": config.weight_decay,
+        },
+    )
+
+
 def pretrain(
     dataset: ExecutionDataset,
     algorithm: Optional[str],
@@ -129,33 +209,11 @@ def pretrain(
         the graph-aware variants in :mod:`repro.core.graph_model` — pass
         their own constructor here and reuse the whole training pipeline.
     """
-    config = config or BellamyConfig()
-    if seed is not None:
-        config = config.with_overrides(seed=seed)
-    if epochs is not None:
-        config = config.with_overrides(pretrain_epochs=epochs)
-
-    corpus = dataset.for_algorithm(algorithm) if algorithm is not None else dataset
-    if len(corpus) == 0:
-        raise ValueError(f"no executions of algorithm {algorithm!r} in the corpus")
-
     started = time.perf_counter()
-    model = (model_factory or BellamyModel)(config)
-    scaleout_raw, properties, runtimes = model.featurizer.build_arrays(corpus)
-    model.fit_scaler(scaleout_raw)
-    model.set_runtime_scale(runtimes)
-    scaled_features = model.scaler.transform(scaleout_raw)
-    scaled_targets = model.normalize_runtimes(runtimes)
-
-    # Train/validation split for model selection / monitoring.
-    rng = new_rng(derive_seed(config.seed, "pretrain-split", str(algorithm)))
-    n = len(corpus)
-    permutation = rng.permutation(n)
-    n_val = int(round(config.validation_fraction * n))
-    val_idx = permutation[:n_val]
-    train_idx = permutation[n_val:]
-    if train_idx.size == 0:
-        raise ValueError("validation fraction leaves no training data")
+    prep = _prepare_corpus(dataset, algorithm, config, seed, epochs, model_factory)
+    model, config = prep.model, prep.config
+    scaled_features, properties, scaled_targets = prep.arrays
+    train_idx, val_idx = prep.train_idx, prep.val_idx
 
     huber = HuberLoss(delta=config.huber_delta)
     mse = MSELoss()
@@ -218,241 +276,57 @@ def pretrain(
     )
     trainer = Trainer(model, optimizer, trainer_config)
     train_result = trainer.fit(train_idx.size, batch_loss, evaluate=evaluate)
-
-    wall = time.perf_counter() - started
-    return PretrainResult(
-        model=model,
-        algorithm=algorithm or "*",
-        variant=variant,
-        n_samples=n,
-        n_contexts=len(corpus.contexts()),
-        wall_seconds=wall,
-        train_result=train_result,
-        validation_mae=train_result.best_metric if val_idx.size else None,
-        hyperparameters={
-            "dropout": config.dropout,
-            "learning_rate": config.learning_rate,
-            "weight_decay": config.weight_decay,
-        },
-    )
+    return _result(prep, variant, train_result, time.perf_counter() - started)
 
 
-@dataclass
-class _SweepEntry:
-    """One prepared group of a batched pre-training sweep."""
+def _run_pretrain_loop_batch(preps: List[_Corpus]) -> List[TrainResult]:
+    """Lockstep joint-objective optimization of N prepared corpora on one tape.
 
-    index: int
-    algorithm: Optional[str]
-    config: BellamyConfig
-    model: BellamyModel
-    n_samples: int
-    n_contexts: int
-    scaled_features: np.ndarray = field(default=None, repr=False)
-    properties: np.ndarray = field(default=None, repr=False)
-    scaled_targets: np.ndarray = field(default=None, repr=False)
-    train_idx: np.ndarray = field(default=None, repr=False)
-    val_idx: np.ndarray = field(default=None, repr=False)
-
-    def arch_key(self) -> tuple:
-        """Groups are batchable together iff this key matches."""
-        return (
-            tuple((n, p.data.shape) for n, p in self.model.named_parameters()),
-            self.properties.shape[1:],
-            self.config.n_essential,
-            self.config.encoding_dim,
-            self.config.use_optional,
-        )
-
-
-def _run_pretrain_loop_batch(entries: List[_SweepEntry]) -> List[TrainResult]:
-    """Lockstep joint-objective optimization of N prepared groups on one tape.
-
-    A transliteration of the :func:`pretrain` training loop with the group
-    axis vectorized: per-group shuffled batch orders over each group's own
-    train split, the joint Huber + reconstruction-MSE objective evaluated
-    per group slot, one shared full-batch validation replay per epoch, a
-    masked per-group Adam step, and best-state snapshots on the monitored
-    metric (``val_mae`` where a group has validation rows, ``mae``
-    otherwise). Each group's trajectory is bit-identical to its own serial
-    :func:`pretrain` run.
+    The group-axis version of the :func:`pretrain` loop: every parameter
+    trains on the Huber + reconstruction-MSE objective at a constant LR,
+    and :func:`~repro.nn.batched.fit_groups` runs the shuffles over each
+    group's train split, the steps, the validation replay and the stops.
     """
-    n_groups = len(entries)
-    models = [e.model for e in entries]
-    configs = [e.config for e in entries]
-    bank = BatchedModelBank(models)
+    configs = [p.config for p in preps]
+    bank = BatchedModelBank([p.model for p in preps])
     deltas = np.array([c.huber_delta for c in configs], dtype=np.float64)
     recon_w = np.array([c.reconstruction_weight for c in configs], dtype=np.float64)
-
-    ns = [int(e.train_idx.size) for e in entries]
-    batch_sizes = [int(c.batch_size) for c in configs]
-    max_epochs_list = [int(c.pretrain_epochs) for c in configs]
-    width = max(min(bs, n) for bs, n in zip(batch_sizes, ns))
-    n_props, vec_size = entries[0].properties.shape[1:]
-
-    feats_buf = np.zeros((n_groups, width, 3), dtype=np.float64)
-    props_buf = np.zeros((n_groups, width, n_props, vec_size), dtype=np.float64)
-    targ_buf = np.zeros((n_groups, width), dtype=np.float64)
-    counts = np.zeros(n_groups, dtype=np.float64)
-    dirty = [False] * n_groups
+    n_props = preps[0].arrays[1].shape[1]
 
     def build(features_t: Tensor, properties_t: Tensor, targets_t: Tensor, counts_t: Tensor):
         prediction, reconstruction, flat = bank.forward(
             features_t, properties_t, counts=counts_t
         )
-        counts_flat = counts_t * float(n_props)
         runtime_term = huber_loss_batched(
             prediction, targets_t, delta=deltas, counts=counts_t
         )
         reconstruction_term = mse_loss_batched(
-            reconstruction, flat.detach(), counts=counts_flat
+            reconstruction, flat.detach(), counts=counts_t * float(n_props)
         )
         total = runtime_term * 1.0 + reconstruction_term * recon_w
         return total, prediction, runtime_term, reconstruction_term
 
-    compiler = GraphCompiler(build, params=bank.parameters)
-    params = bank.parameters()
     optimizer = BatchedAdam(
-        params,
-        n_groups,
+        bank.parameters(),
+        len(preps),
         lr=np.array([c.learning_rate for c in configs], dtype=np.float64),
         weight_decay=np.array([c.weight_decay for c in configs], dtype=np.float64),
     )
-
-    n_vals = [int(e.val_idx.size) for e in entries]
-    has_val = [n > 0 for n in n_vals]
-    evaluate = None
-    if any(has_val):
-        v_width = max(n_vals)
-        vfeats = np.zeros((n_groups, v_width, 3), dtype=np.float64)
-        vprops = np.zeros((n_groups, v_width, n_props, vec_size), dtype=np.float64)
-        vcounts = np.array(n_vals, dtype=np.float64)
-        vtargets = [e.scaled_targets[e.val_idx] for e in entries]
-        for g, entry in enumerate(entries):
-            rows = entry.val_idx
-            vfeats[g, : rows.size] = entry.scaled_features[rows]
-            vprops[g, : rows.size] = entry.properties[rows]
-
-        def build_eval(features_t: Tensor, properties_t: Tensor, counts_t: Tensor):
-            prediction, _, _ = bank.forward(features_t, properties_t, counts=counts_t)
-            return (prediction,)
-
-        eval_compiler = GraphCompiler(build_eval, params=bank.parameters)
-
-        def evaluate() -> Dict[int, float]:
-            was_training = bank.training
-            bank.eval()
-            try:
-                with no_grad():
-                    (prediction,) = eval_compiler.run(vfeats, vprops, vcounts)
-            finally:
-                bank.train(was_training)
-            out: Dict[int, float] = {}
-            for g in range(n_groups):
-                if not has_val[g]:
-                    continue
-                residual = models[g].denormalize_runtimes(
-                    prediction.data[g, : n_vals[g]] - vtargets[g]
-                )
-                out[g] = float(np.abs(residual).mean())
-            return out
-
-    progress = GroupProgress(
-        n_groups,
-        monitor=["val_mae" if v else "mae" for v in has_val],
-        max_epochs=max_epochs_list,
+    return fit_groups(
+        bank,
+        build,
+        optimizer,
+        [p.arrays for p in preps],
+        rows=[p.train_idx for p in preps],
+        rngs=[
+            new_rng(derive_seed(c.seed, "pretrain-loop", str(p.algorithm)))
+            for c, p in zip(configs, preps)
+        ],
+        batch_sizes=[int(c.batch_size) for c in configs],
+        max_epochs=[int(c.pretrain_epochs) for c in configs],
+        terms=("huber", "reconstruction_mse"),
+        val_rows=[p.val_idx for p in preps],
     )
-    snapshots = ParamSnapshots(params)
-    trainer_rngs = [
-        new_rng(derive_seed(c.seed, "pretrain-loop", str(e.algorithm)))
-        for c, e in zip(configs, entries)
-    ]
-    indices_list = [np.arange(n) for n in ns]
-    lrs = [float(c.learning_rate) for c in configs]
-    active_mask = np.zeros(n_groups, dtype=bool)
-    bank.train()
-
-    epoch = 0
-    while progress.any_active:
-        epoch_active = [g for g in range(n_groups) if progress.active[g]]
-        orders = {g: trainer_rngs[g].permutation(indices_list[g]) for g in epoch_active}
-        n_batches = {g: math.ceil(ns[g] / batch_sizes[g]) for g in epoch_active}
-        total_loss = [0.0] * n_groups
-        total_mae = [0.0] * n_groups
-        total_huber = [0.0] * n_groups
-        total_recon = [0.0] * n_groups
-        seen = [0] * n_groups
-
-        for b in range(max(n_batches.values())):
-            active_mask[:] = False
-            for g in range(n_groups):
-                if g in n_batches and b < n_batches[g]:
-                    bs = batch_sizes[g]
-                    idx = orders[g][b * bs : b * bs + bs]
-                    rows = entries[g].train_idx[idx]
-                    c = rows.size
-                    feats_buf[g, :c] = entries[g].scaled_features[rows]
-                    props_buf[g, :c] = entries[g].properties[rows]
-                    targ_buf[g, :c] = entries[g].scaled_targets[rows]
-                    if c < width:
-                        feats_buf[g, c:] = 0.0
-                        props_buf[g, c:] = 0.0
-                        targ_buf[g, c:] = 0.0
-                    counts[g] = float(c)
-                    active_mask[g] = True
-                    dirty[g] = True
-                else:
-                    counts[g] = 0.0
-                    if dirty[g]:
-                        feats_buf[g] = 0.0
-                        props_buf[g] = 0.0
-                        targ_buf[g] = 0.0
-                        dirty[g] = False
-
-            optimizer.zero_grad()
-            total_t, prediction, runtime_term, recon_term = compiler.run(
-                feats_buf, props_buf, targ_buf, counts
-            )
-            if total_t.requires_grad:
-                compiler.backward()
-                masks = [active_mask] * len(params)
-                optimizer.step(masks)
-
-            for g in range(n_groups):
-                if not active_mask[g]:
-                    continue
-                c = int(counts[g])
-                residual = models[g].denormalize_runtimes(
-                    prediction.data[g, :c] - targ_buf[g, :c]
-                )
-                total_loss[g] += float(total_t.data[g]) * c
-                total_mae[g] += float(np.abs(residual).mean()) * c
-                total_huber[g] += float(runtime_term.data[g]) * c
-                total_recon[g] += float(recon_term.data[g]) * c
-                seen[g] += c
-
-        eval_out = evaluate() if evaluate is not None else {}
-        metrics_map = {}
-        for g in epoch_active:
-            epoch_metrics = {
-                "loss": total_loss[g] / seen[g],
-                "mae": total_mae[g] / seen[g],
-                "huber": total_huber[g] / seen[g],
-                "reconstruction_mse": total_recon[g] / seen[g],
-            }
-            if g in eval_out:
-                epoch_metrics["val_mae"] = eval_out[g]
-            epoch_metrics["lr"] = lrs[g]
-            metrics_map[g] = epoch_metrics
-            if progress.record(g, epoch, epoch_metrics):
-                snapshots.save(g)
-        for g in epoch_active:
-            progress.check_stop(g, epoch, metrics_map[g])
-        epoch += 1
-
-    for g in range(n_groups):
-        snapshots.restore(g)
-    bank.write_back()
-    return [progress.result(g) for g in range(n_groups)]
 
 
 def pretrain_batch(
@@ -483,93 +357,45 @@ def pretrain_batch(
     raise immediately: a sweep over a corpus with no executions of an
     algorithm is a caller error, not a data-quality event.
     """
-    normalized: List[Tuple[Optional[str], BellamyConfig]] = []
+    parsed: List[Tuple[Optional[str], Optional[BellamyConfig]]] = []
     for item in items:
-        if isinstance(item, (tuple, list)):
-            algorithm, config = item
-        else:
-            algorithm, config = item, None
-        config = config or BellamyConfig()
-        if seed is not None:
-            config = config.with_overrides(seed=seed)
-        if epochs is not None:
-            config = config.with_overrides(pretrain_epochs=epochs)
-        normalized.append((algorithm, config))
+        algorithm, config = item if isinstance(item, (tuple, list)) else (item, None)
+        parsed.append((algorithm, config))
 
-    results: List[Optional[PretrainResult]] = [None] * len(normalized)
+    results: List[Optional[PretrainResult]] = [None] * len(parsed)
     serial_indices: List[int] = []
-    prepared: Dict[int, _SweepEntry] = {}
+    prepared: Dict[int, _Corpus] = {}
     started = time.perf_counter()
 
     if model_factory is not None:
-        serial_indices = list(range(len(normalized)))
+        serial_indices = list(range(len(parsed)))
     else:
-        for i, (algorithm, config) in enumerate(normalized):
-            corpus = dataset.for_algorithm(algorithm) if algorithm is not None else dataset
-            if len(corpus) == 0:
-                raise ValueError(f"no executions of algorithm {algorithm!r} in the corpus")
-            model = BellamyModel(config)
-            scaleout_raw, properties, runtimes = model.featurizer.build_arrays(corpus)
-            model.fit_scaler(scaleout_raw)
-            model.set_runtime_scale(runtimes)
-            rng = new_rng(derive_seed(config.seed, "pretrain-split", str(algorithm)))
-            n = len(corpus)
-            permutation = rng.permutation(n)
-            n_val = int(round(config.validation_fraction * n))
-            val_idx = permutation[:n_val]
-            train_idx = permutation[n_val:]
-            if train_idx.size == 0:
-                raise ValueError("validation fraction leaves no training data")
-            prepared[i] = _SweepEntry(
-                index=i,
-                algorithm=algorithm,
-                config=config,
-                model=model,
-                n_samples=n,
-                n_contexts=len(corpus.contexts()),
-                scaled_features=model.scaler.transform(scaleout_raw),
-                properties=properties,
-                scaled_targets=model.normalize_runtimes(runtimes),
-                train_idx=train_idx,
-                val_idx=val_idx,
-            )
+        for i, (algorithm, config) in enumerate(parsed):
+            prepared[i] = _prepare_corpus(dataset, algorithm, config, seed, epochs)
 
     subgroups: Dict[tuple, List[int]] = {}
-    for i, entry in prepared.items():
-        subgroups.setdefault(entry.arch_key(), []).append(i)
+    for i, prep in prepared.items():
+        subgroups.setdefault(arch_signature(prep.model, prep.arrays[1]), []).append(i)
 
     for members in subgroups.values():
         if len(members) < 2:
             serial_indices.extend(members)
             continue
-        entries = [prepared[i] for i in members]
-        train_results = _run_pretrain_loop_batch(entries)
+        preps = [prepared[i] for i in members]
+        train_results = _run_pretrain_loop_batch(preps)
         wall = time.perf_counter() - started
-        for entry, train_result in zip(entries, train_results):
-            config = entry.config
-            results[entry.index] = PretrainResult(
-                model=entry.model,
-                algorithm=entry.algorithm or "*",
-                variant=variant,
-                n_samples=entry.n_samples,
-                n_contexts=entry.n_contexts,
-                wall_seconds=wall,
-                train_result=train_result,
-                validation_mae=train_result.best_metric if entry.val_idx.size else None,
-                hyperparameters={
-                    "dropout": config.dropout,
-                    "learning_rate": config.learning_rate,
-                    "weight_decay": config.weight_decay,
-                },
-            )
+        for i, prep, train_result in zip(members, preps, train_results):
+            results[i] = _result(prep, variant, train_result, wall)
 
     for i in serial_indices:
-        algorithm, config = normalized[i]
+        algorithm, config = parsed[i]
         results[i] = pretrain(
             dataset,
             algorithm,
             config=config,
             variant=variant,
+            epochs=epochs,
+            seed=seed,
             model_factory=model_factory,
         )
 
@@ -595,23 +421,12 @@ def pretrain_population_objective(
     ``pretrain-trial`` derivation as :func:`pretrain_with_search`, so
     scores are bit-identical to the serial search.
     """
-    base_config = base_config or BellamyConfig()
 
     def population(configurations: Sequence[Dict[str, float]]) -> List[float]:
-        configs = [
-            base_config.with_overrides(
-                **{key: float(value) for key, value in params.items()},
-                seed=derive_seed(seed, "pretrain-trial", algorithm, trial_index),
-            )
-            for trial_index, params in enumerate(configurations)
-        ]
-        trial_results = pretrain_batch(
-            dataset,
-            [(algorithm, config) for config in configs],
-            variant=variant,
-            epochs=epochs,
+        trials = _pretrain_trials(
+            dataset, algorithm, base_config, configurations, variant, epochs, seed
         )
-        return [_score_of(result) for result in trial_results]
+        return [_score_of(result) for result in trials]
 
     return population
 
@@ -639,37 +454,38 @@ def pretrain_with_search(
     from repro.tune.search import RandomSearch
     from repro.tune.space import Categorical, SearchSpace
 
-    base_config = base_config or BellamyConfig()
     space = SearchSpace(
         {name: Categorical(values) for name, values in PRETRAIN_SEARCH_SPACE.items()}
     )
     search = RandomSearch(space, seed=derive_seed(seed, "pretrain-search", algorithm))
+    trials = _pretrain_trials(
+        dataset, algorithm, base_config, search.suggest(n_samples), variant, epochs, seed
+    )
+    # min() keeps the first of equally scored trials, as a serial search would.
+    return min(trials, key=_score_of)
 
+
+def _pretrain_trials(
+    dataset: ExecutionDataset,
+    algorithm: str,
+    base_config: Optional[BellamyConfig],
+    configurations: Sequence[Dict[str, float]],
+    variant: str,
+    epochs: Optional[int],
+    seed: int,
+) -> List[PretrainResult]:
+    """One :func:`pretrain_batch` pass; trial ``i`` gets the ``pretrain-trial`` seed ``i``."""
+    base_config = base_config or BellamyConfig()
     configs = [
         base_config.with_overrides(
-            dropout=float(params["dropout"]),
-            learning_rate=float(params["learning_rate"]),
-            weight_decay=float(params["weight_decay"]),
+            **{key: float(value) for key, value in params.items()},
             seed=derive_seed(seed, "pretrain-trial", algorithm, trial_index),
         )
-        for trial_index, params in enumerate(search.suggest(n_samples))
+        for trial_index, params in enumerate(configurations)
     ]
-    trial_results = pretrain_batch(
-        dataset,
-        [(algorithm, config) for config in configs],
-        variant=variant,
-        epochs=epochs,
+    return pretrain_batch(
+        dataset, [(algorithm, config) for config in configs], variant=variant, epochs=epochs
     )
-
-    best: Optional[PretrainResult] = None
-    for result in trial_results:
-        score = result.validation_mae
-        if score is None:
-            score = result.train_result.best_metric if result.train_result else float("inf")
-        if best is None or score < _score_of(best):
-            best = result
-    assert best is not None  # n_samples >= 1 guarantees at least one trial
-    return best
 
 
 def _score_of(result: PretrainResult) -> float:

@@ -16,6 +16,8 @@ from repro.nn.batched import (
     GroupProgress,
     ParamSnapshots,
     alpha_dropout_batched,
+    arch_signature,
+    fit_groups,
     group_mean,
     group_sum,
     huber_loss_batched,
@@ -115,7 +117,9 @@ __all__ = [
     "TrainerConfig",
     "active_tape",
     "alpha_dropout_batched",
+    "arch_signature",
     "cat",
+    "fit_groups",
     "functional",
     "group_mean",
     "group_sum",

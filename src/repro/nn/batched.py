@@ -29,22 +29,27 @@ padding + a ``counts`` vector: padded rows are zeroed by the caller, carry
 exactly-zero gradients through every kernel, and are excluded from loss and
 bias reductions.
 
-The lockstep training loops built on these kernels live next to their
-serial twins (``repro.core.finetuning.finetune_batch`` and
-``repro.core.pretraining.pretrain_sweep``).
+One lockstep loop, :func:`fit_groups` (the group-axis twin of
+:meth:`repro.nn.trainer.Trainer.fit`), trains every bank. Its two callers
+supply only what differs: ``repro.core.finetuning.finetune_batch`` (Huber
+loss, f+z trainable, per-group cyclic LR, staged f-unfreeze) and
+``repro.core.pretraining.pretrain_batch`` (joint Huber + reconstruction
+objective, every parameter trainable, constant LR, validation monitoring).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.functional import SELU_ALPHA, SELU_SCALE, _register_mask_refresh, _selu_into
-from repro.nn.layers import AlphaDropout, FeedForward, Identity
+from repro.nn.layers import AlphaDropout, FeedForward
 from repro.nn.module import Parameter
-from repro.nn.tensor import Tensor, cat
+from repro.nn.tape import GraphCompiler
+from repro.nn.tensor import Tensor, cat, no_grad
 from repro.nn.trainer import TrainResult
 
 __all__ = [
@@ -55,6 +60,8 @@ __all__ = [
     "GroupProgress",
     "ParamSnapshots",
     "alpha_dropout_batched",
+    "arch_signature",
+    "fit_groups",
     "group_mean",
     "group_sum",
     "huber_loss_batched",
@@ -907,6 +914,27 @@ class BatchedFeedForward:
                 np.copyto(comp.layer2.bias.data, self.bias2.data[g])
 
 
+def arch_signature(model, properties: Optional[np.ndarray] = None) -> tuple:
+    """Key under which models stack into one :class:`BatchedModelBank`.
+
+    Parameter names and shapes plus the config fields that shape the
+    forward. With a ``(rows, P, N)`` property matrix the key also carries
+    ``(P, N)``, since groups stack only when their matrices do::
+
+        key = arch_signature(model, properties)
+        batches.setdefault(key, []).append(index)
+    """
+    config = model.config
+    key = (
+        tuple((name, p.data.shape) for name, p in model.named_parameters()),
+        config.n_essential,
+        config.encoding_dim,
+        config.use_optional,
+        config.property_vector_size,
+    )
+    return key if properties is None else key + (properties.shape[1:],)
+
+
 class BatchedModelBank:
     """Stacks N same-architecture Bellamy models for one fused training pass.
 
@@ -928,23 +956,14 @@ class BatchedModelBank:
     def __init__(self, models: Sequence) -> None:
         if not models:
             raise ValueError("BatchedModelBank needs at least one model")
-        shapes = [tuple((n, p.data.shape) for n, p in m.named_parameters()) for m in models]
-        for idx, shape in enumerate(shapes[1:], start=1):
-            if shape != shapes[0]:
+        signature = arch_signature(models[0])
+        for idx, model in enumerate(models[1:], start=1):
+            if arch_signature(model) != signature:
                 raise ValueError(
-                    f"model {idx} parameter shapes differ from model 0; "
+                    f"model {idx} architecture differs from model 0; "
                     "batching requires identical architectures"
                 )
         first = models[0].config
-        for idx, model in enumerate(models[1:], start=1):
-            cfg = model.config
-            arch = ("n_essential", "encoding_dim", "use_optional", "property_vector_size")
-            for key in arch:
-                if getattr(cfg, key) != getattr(first, key):
-                    raise ValueError(
-                        f"model {idx} config.{key}={getattr(cfg, key)!r} != "
-                        f"model 0 {getattr(first, key)!r}"
-                    )
         self.models = list(models)
         self.n_groups = len(self.models)
         self.n_essential = first.n_essential
@@ -1015,7 +1034,7 @@ class BatchedModelBank:
 
 
 # ---------------------------------------------------------------------- #
-# Lockstep bookkeeping (per-group Trainer.fit semantics)
+# Lockstep training (per-group Trainer.fit semantics)
 # ---------------------------------------------------------------------- #
 
 
@@ -1028,14 +1047,13 @@ class GroupProgress:
     :meth:`record` after computing a group's epoch metrics (snapshotting on
     improvement), then :meth:`check_stop` after any epoch-end callbacks.
 
-    ::
+    :func:`fit_groups` drives it once per lockstep epoch::
 
         progress = GroupProgress(n_groups, monitor="val_mae",
                                  patiences=[20] * n_groups, max_epochs=250)
-        while progress.any_active:
-            ...                               # one lockstep epoch
-            progress.record(g, epoch, metrics)
-            progress.check_stop(g, epoch, metrics)
+        for g in active_groups:               # after one lockstep epoch
+            progress.record(g, epoch, metrics[g])
+            progress.check_stop(g, epoch, metrics[g])
     """
 
     def __init__(
@@ -1137,3 +1155,234 @@ class ParamSnapshots:
             return
         for param, buf in zip(self.params, self.bufs):
             np.copyto(param.data[g], buf[g])
+
+
+def _validation_mae(
+    bank: BatchedModelBank,
+    data: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    val_rows: Sequence[np.ndarray],
+) -> Callable[[], Dict[int, float]]:
+    """Per-epoch validation MAE (seconds) of every group with validation rows.
+
+    One gradient-free full-batch replay in eval mode (no dropout draws)
+    serves all groups; each group's MAE reads only its own valid rows.
+    """
+    n_groups = bank.n_groups
+    sizes = [int(rows.size) for rows in val_rows]
+    n_props, vec_size = data[0][1].shape[1:]
+    feats = np.zeros((n_groups, max(sizes), 3), dtype=np.float64)
+    props = np.zeros((n_groups, max(sizes), n_props, vec_size), dtype=np.float64)
+    counts = np.array(sizes, dtype=np.float64)
+    targets = [data[g][2][val_rows[g]] for g in range(n_groups)]
+    for g, rows in enumerate(val_rows):
+        feats[g, : rows.size] = data[g][0][rows]
+        props[g, : rows.size] = data[g][1][rows]
+
+    def build(features_t: Tensor, properties_t: Tensor, counts_t: Tensor):
+        prediction, _, _ = bank.forward(features_t, properties_t, counts=counts_t)
+        return (prediction,)
+
+    compiler = GraphCompiler(build, params=bank.parameters)
+
+    def evaluate() -> Dict[int, float]:
+        was_training = bank.training
+        bank.eval()
+        try:
+            with no_grad():
+                (prediction,) = compiler.run(feats, props, counts)
+        finally:
+            bank.train(was_training)
+        out: Dict[int, float] = {}
+        for g in range(n_groups):
+            if sizes[g]:
+                residual = bank.models[g].denormalize_runtimes(
+                    prediction.data[g, : sizes[g]] - targets[g]
+                )
+                out[g] = float(np.abs(residual).mean())
+        return out
+
+    return evaluate
+
+
+def fit_groups(
+    bank: BatchedModelBank,
+    build: Callable[..., Sequence[Tensor]],
+    optimizer: BatchedAdam,
+    data: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    rows: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    batch_sizes: Sequence[int],
+    max_epochs: Sequence[int],
+    targets: Optional[Sequence[Optional[float]]] = None,
+    patiences: Optional[Sequence[Optional[int]]] = None,
+    gates: Optional[Sequence[Optional[np.ndarray]]] = None,
+    lr_schedules: Optional[Sequence[Callable[[int], float]]] = None,
+    terms: Sequence[str] = (),
+    val_rows: Optional[Sequence[np.ndarray]] = None,
+    on_epoch_end: Optional[Callable[[int, List[int]], None]] = None,
+) -> List[TrainResult]:
+    """Train every group of ``bank`` in lockstep, each as its own ``Trainer.fit``.
+
+    The group-axis twin of :meth:`repro.nn.trainer.Trainer.fit`, bit for
+    bit per group: group ``g`` shuffles ``rows[g]`` (indices into its
+    ``data[g] = (scaled_features, properties, scaled_targets)``) with
+    ``rngs[g]`` once per epoch it is active, and its mini-batches of
+    ``batch_sizes[g]`` rows are packed into zero-padded ``(G, width, ...)``
+    buffers with per-group valid ``counts``. Each step replays one compiled
+    ``build(features, properties, targets, counts)`` -- returning
+    ``(loss, prediction, *terms)`` with ``(G,)`` loss and term heads -- and
+    commits a masked ``optimizer`` step for the groups with a batch. Groups
+    run out of batches, stop, and restore their best state independently.
+
+    Parameters
+    ----------
+    gates:
+        Aligned with ``optimizer.params``: ``None`` or a live ``(G,)`` bool
+        array of the groups allowed to update that parameter (the caller
+        may flip entries, e.g. from ``on_epoch_end``).
+    lr_schedules:
+        Per-group ``epoch -> lr``, applied at the start of each epoch; the
+        optimizer's learning rates stay fixed when omitted.
+    terms:
+        Names of the extra loss terms ``build`` returns after the
+        prediction; they are reported as sample-weighted epoch metrics.
+    val_rows:
+        Per-group validation rows. A group with any is monitored on its
+        full-batch ``val_mae`` after each epoch, others on training ``mae``.
+    on_epoch_end:
+        ``(epoch, active_groups)`` callback, run after the best-state
+        snapshots and before the stop checks (the serial callback slot).
+
+    ``targets``, ``patiences`` and ``max_epochs`` are the per-group stop
+    rules of :class:`GroupProgress`. On return every group holds its best
+    state and the bank is written back into its models.
+
+    >>> import numpy as np
+    >>> from repro.core.config import BellamyConfig
+    >>> from repro.core.model import BellamyModel
+    >>> from repro.data.schema import JobContext
+    >>> from repro.nn.batched import BatchedAdam, BatchedModelBank
+    >>> from repro.nn.batched import fit_groups, huber_loss_batched
+    >>> context = JobContext("sgd", "m4.xlarge", 10_000.0, "dense", ())
+    >>> machines, runtimes = np.array([2.0, 4.0, 6.0]), np.array([400.0, 250.0, 200.0])
+    >>> models, data = [BellamyModel(BellamyConfig(seed=s)) for s in (0, 1)], []
+    >>> for model in models:
+    ...     raw, props = model.featurizer.build_context_arrays(context, machines)
+    ...     model.fit_scaler(raw)
+    ...     model.set_runtime_scale(runtimes)
+    ...     data.append((model.scaler.transform(raw), props, model.normalize_runtimes(runtimes)))
+    >>> bank = BatchedModelBank(models)
+    >>> def build(features, properties, targets, counts):
+    ...     prediction, _, _ = bank.forward(features, properties, counts=counts)
+    ...     return huber_loss_batched(prediction, targets, counts=counts), prediction
+    >>> results = fit_groups(
+    ...     bank, build, BatchedAdam(bank.parameters(), n_groups=2), data,
+    ...     rows=[np.arange(3)] * 2, rngs=[np.random.default_rng(g) for g in (0, 1)],
+    ...     batch_sizes=[2, 2], max_epochs=[3, 5])
+    >>> [r.epochs_trained for r in results]
+    [3, 5]
+    """
+    n_groups = bank.n_groups
+    models = bank.models
+    params = optimizer.params
+    gates = list(gates) if gates is not None else [None] * len(params)
+    ns = [int(r.size) for r in rows]
+    width = max(min(bs, n) for bs, n in zip(batch_sizes, ns))
+    n_props, vec_size = data[0][1].shape[1:]
+
+    feats_buf = np.zeros((n_groups, width, 3), dtype=np.float64)
+    props_buf = np.zeros((n_groups, width, n_props, vec_size), dtype=np.float64)
+    targ_buf = np.zeros((n_groups, width), dtype=np.float64)
+    counts = np.zeros(n_groups, dtype=np.float64)
+    dirty = [False] * n_groups
+    step_mask = np.zeros(n_groups, dtype=bool)
+    compiler = GraphCompiler(build, params=bank.parameters)
+
+    has_val = [val_rows is not None and val_rows[g].size > 0 for g in range(n_groups)]
+    evaluate = _validation_mae(bank, data, val_rows) if any(has_val) else None
+    progress = GroupProgress(
+        n_groups,
+        monitor=["val_mae" if v else "mae" for v in has_val],
+        targets=targets,
+        patiences=patiences,
+        max_epochs=list(max_epochs),
+    )
+    snapshots = ParamSnapshots(params)
+    keys = ("loss", "mae") + tuple(terms)
+    bank.train()
+
+    epoch = 0
+    while progress.any_active:
+        active = [g for g in range(n_groups) if progress.active[g]]
+        if lr_schedules is not None:
+            for g in active:
+                optimizer.lr[g] = lr_schedules[g](epoch)
+        orders = {g: rngs[g].permutation(rows[g]) for g in active}
+        n_batches = {g: math.ceil(ns[g] / batch_sizes[g]) for g in active}
+        totals = [[0.0] * len(keys) for _ in range(n_groups)]
+        seen = [0] * n_groups
+
+        for b in range(max(n_batches.values())):
+            step_mask[:] = False
+            for g in range(n_groups):
+                if g in n_batches and b < n_batches[g]:
+                    bs = batch_sizes[g]
+                    idx = orders[g][b * bs : b * bs + bs]
+                    c = idx.size
+                    feats_buf[g, :c] = data[g][0][idx]
+                    props_buf[g, :c] = data[g][1][idx]
+                    targ_buf[g, :c] = data[g][2][idx]
+                    if c < width:
+                        feats_buf[g, c:] = 0.0
+                        props_buf[g, c:] = 0.0
+                        targ_buf[g, c:] = 0.0
+                    counts[g] = float(c)
+                    step_mask[g] = True
+                    dirty[g] = True
+                else:
+                    counts[g] = 0.0
+                    if dirty[g]:
+                        feats_buf[g] = 0.0
+                        props_buf[g] = 0.0
+                        targ_buf[g] = 0.0
+                        dirty[g] = False
+
+            optimizer.zero_grad()
+            loss_t, prediction, *term_ts = compiler.run(feats_buf, props_buf, targ_buf, counts)
+            if loss_t.requires_grad:
+                compiler.backward()
+                optimizer.step([step_mask if gate is None else step_mask & gate for gate in gates])
+
+            for g in range(n_groups):
+                if not step_mask[g]:
+                    continue
+                c = int(counts[g])
+                residual = models[g].denormalize_runtimes(
+                    prediction.data[g, :c] - targ_buf[g, :c]
+                )
+                values = [float(loss_t.data[g]), float(np.abs(residual).mean())]
+                values += [float(t.data[g]) for t in term_ts]
+                for k, value in enumerate(values):
+                    totals[g][k] += value * c
+                seen[g] += c
+
+        eval_out = evaluate() if evaluate is not None else {}
+        metrics_map = {}
+        for g in active:
+            epoch_metrics = {key: total / seen[g] for key, total in zip(keys, totals[g])}
+            if g in eval_out:
+                epoch_metrics["val_mae"] = eval_out[g]
+            epoch_metrics["lr"] = float(optimizer.lr[g])
+            metrics_map[g] = epoch_metrics
+            if progress.record(g, epoch, epoch_metrics):
+                snapshots.save(g)
+        if on_epoch_end is not None:
+            on_epoch_end(epoch, active)
+        for g in active:
+            progress.check_stop(g, epoch, metrics_map[g])
+        epoch += 1
+
+    for g in range(n_groups):
+        snapshots.restore(g)
+    bank.write_back()
+    return [progress.result(g) for g in range(n_groups)]

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import BellamyConfig
-from repro.core.finetuning import FinetuneFailure, finetune, finetune_batch
+from repro.core.finetuning import (
+    FinetuneFailure,
+    FinetuneStrategy,
+    finetune,
+    finetune_batch,
+    unfreeze_epoch_for,
+)
 from repro.core.pretraining import pretrain, pretrain_batch
 from repro.data.schema import JobContext
 
@@ -70,6 +76,34 @@ def test_finetune_batch_bit_identical_across_group_counts(
     serial = [finetune(*item, max_epochs=max_epochs) for item in items]
     batched = finetune_batch(items, max_epochs=max_epochs)
     assert len(batched) == n_groups
+    for s, b in zip(serial, batched):
+        _assert_results_identical(s, b)
+
+
+@pytest.mark.parametrize("strategy", list(FinetuneStrategy), ids=lambda s: s.value)
+def test_finetune_batch_bit_identical_for_every_strategy(
+    base_model, template_context, strategy
+):
+    """Full-unfreeze/full-reset train f from epoch 0; the resets re-seed z."""
+    items = _make_items(base_model, template_context, 3, sample_counts=[8, 5, 8])
+    serial = [finetune(*item, strategy=strategy, max_epochs=25) for item in items]
+    batched = finetune_batch(items, strategy=strategy, max_epochs=25)
+    for s, b in zip(serial, batched):
+        _assert_results_identical(s, b)
+
+
+def test_finetune_batch_bit_identical_for_staggered_unfreeze(
+    base_model, template_context
+):
+    """Each group unlocks f at its own epoch while the others keep training."""
+    untargeted = type(base_model)(base_model.config.with_overrides(finetune_target_mae=0.0))
+    untargeted.load_full_state_dict(base_model.full_state_dict())
+    counts = [1, 3, 5]
+    assert [unfreeze_epoch_for(n, 120) for n in counts] == [24, 14, 10]
+    items = _make_items(untargeted, template_context, 3, sample_counts=counts)
+    serial = [finetune(*item, max_epochs=120) for item in items]
+    batched = finetune_batch(items, max_epochs=120)
+    assert [s.epochs_trained for s in serial] == [120, 120, 120]
     for s, b in zip(serial, batched):
         _assert_results_identical(s, b)
 
@@ -127,6 +161,29 @@ def test_pretrain_batch_bit_identical_to_serial_sweep(c3o_dataset):
         batched_state = b.model.state_dict()
         for name in serial_state:
             assert np.array_equal(serial_state[name], batched_state[name]), name
+
+
+def test_pretrain_batch_mixes_validated_and_validation_free_groups(c3o_dataset):
+    """One group monitors val_mae, the other (no validation rows) train mae."""
+    configs = [
+        BellamyConfig(seed=0),
+        BellamyConfig(seed=0).with_overrides(validation_fraction=0.0),
+    ]
+    batched = pretrain_batch(
+        c3o_dataset, [("grep", configs[0]), ("grep", configs[1])], epochs=6
+    )
+    serial = [
+        pretrain(c3o_dataset, "grep", config=config.with_overrides(pretrain_epochs=6))
+        for config in configs
+    ]
+    assert batched[0].validation_mae is not None
+    assert batched[1].validation_mae is None
+    for s, b in zip(serial, batched):
+        assert s.validation_mae == b.validation_mae
+        assert s.train_result.best_epoch == b.train_result.best_epoch
+        assert s.train_result.history == b.train_result.history
+        for name, value in s.model.state_dict().items():
+            assert np.array_equal(value, b.model.state_dict()[name]), name
 
 
 def test_pretrain_batch_accepts_per_item_configs(c3o_dataset):
