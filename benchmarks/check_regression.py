@@ -38,8 +38,21 @@ GATED_RATIOS = (
 
 #: Hard floors on the current run, whatever the baseline says. A tape that
 #: stopped engaging reads ~1.0x compiled vs. eager; 24 interleaved
-#: ``bench_step`` runs on a 2-CPU VM read 1.25-1.71x.
-RATIO_FLOORS = ((("step_level", "speedup_vs_eager"), 1.2),)
+#: ``bench_step`` runs on a 2-CPU VM read 1.25-1.71x. Zero-shot predict
+#: through the plain-array forward vs. the Tensor forward it replaced reads
+#: ~1.0x once inference builds graphs again; a 2-CPU VM measured ~2x.
+RATIO_FLOORS = (
+    (("step_level", "speedup_vs_eager"), 1.2),
+    (("serving_level", "zero_shot_forward", "speedup"), 1.5),
+)
+
+#: Correctness flags of the current run that must read true: grouped
+#: serving answers byte-equal to serial ones, and the plain-array forward
+#: byte-equal to the Tensor forward.
+REQUIRED_TRUE = (
+    ("serving_level", "batch_of_8_same_context", "outputs_match"),
+    ("serving_level", "zero_shot_forward", "bit_identical"),
+)
 
 #: Same-run store-backend slowdown ratios (sqlite vs local FS at 10k
 #: entries; >1 = sqlite slower). Gated inversely to GATED_RATIOS: the
@@ -271,6 +284,15 @@ def main() -> int:
         print(f"{'.'.join(path)}: {now:.2f}x (hard floor {floor}x) [{status}]")
         if status != "ok":
             failures.append(f"{'.'.join(path)} fell to {now:.2f}x (< {floor}x)")
+
+    for path in REQUIRED_TRUE:
+        now = _lookup_current(current, path, failures)
+        if now is None:
+            continue
+        status = "ok" if now else "REGRESSION"
+        print(f"{'.'.join(path)}: {bool(now)} (must be true) [{status}]")
+        if status != "ok":
+            failures.append(f"{'.'.join(path)} is false")
 
     for path in GATED_SLOWDOWNS:
         label = ".".join(path)

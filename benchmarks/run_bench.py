@@ -437,15 +437,75 @@ def bench_serving() -> dict:
     started = time.perf_counter()
     grouped = session.predict_batch(requests)
     grouped_s = time.perf_counter() - started
-    close = all(np.allclose(a, b, rtol=1e-9) for a, b in zip(ungrouped, grouped))
+    identical = all(np.array_equal(a, b) for a, b in zip(ungrouped, grouped))
     return {
         "batch_of_8_same_context": {
             "per_request_s": per_request_s,
             "grouped_s": grouped_s,
             "speedup": per_request_s / grouped_s,
             "finetune_fits": session.last_batch_stats["finetune_fits"],
-            "outputs_match": bool(close),
-        }
+            "outputs_match": identical,
+        },
+        "zero_shot_forward": _bench_zero_shot_forward(session, dataset),
+    }
+
+
+def _tensor_predict(model, context, machines) -> np.ndarray:
+    """Zero-shot predict through the Tensor forward under ``eval()`` +
+    ``no_grad`` — the path ``BellamyModel.predict`` took before the
+    plain-array forward, kept here as the timing and identity reference."""
+    from repro.nn.tensor import Tensor, no_grad
+
+    raw, properties = model.featurizer.build_context_arrays(context, machines)
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            prediction, _, _ = model.forward(
+                Tensor(model.scaler.transform(raw)), Tensor(properties)
+            )
+    finally:
+        model.train(was_training)
+    return np.maximum(model.denormalize_runtimes(prediction.data), 0.0)
+
+
+def _bench_zero_shot_forward(session, dataset, repeats: int = 7) -> dict:
+    """Serial zero-shot predicts: the plain-array forward vs. the Tensor
+    forward, over the same 64 requests (served-size scale-out lists of 1-4
+    machines across 8 sgd contexts). The answers are asserted bit-identical
+    before any timing is reported; a mismatch is FATAL. The two paths are
+    timed in alternation, best of ``repeats``, so a machine-wide slowdown
+    hits both sides of the gated ratio alike."""
+    model = session.base_model("sgd")
+    contexts = dataset.for_algorithm("sgd").contexts()[:8]
+    rng = np.random.default_rng(0)
+    requests = [
+        (contexts[i % len(contexts)], rng.integers(2, 25, size=1 + i % 4).astype(np.float64))
+        for i in range(64)
+    ]
+    frozen = [model.predict(c, m) for c, m in requests]
+    reference = [_tensor_predict(model, c, m) for c, m in requests]
+    if not all(np.array_equal(a, b) for a, b in zip(frozen, reference)):
+        raise SystemExit("FATAL: the plain-array forward is not bit-identical to the Tensor forward")
+
+    def run_frozen() -> None:
+        for context, machines in requests:
+            model.predict(context, machines)
+
+    def run_tensor() -> None:
+        for context, machines in requests:
+            _tensor_predict(model, context, machines)
+
+    frozen_s = tensor_s = float("inf")
+    for _ in range(repeats):
+        frozen_s = min(frozen_s, _best_of(run_frozen, 1, 5) / len(requests))
+        tensor_s = min(tensor_s, _best_of(run_tensor, 1, 5) / len(requests))
+    return {
+        "requests": len(requests),
+        "frozen_us": frozen_s * 1e6,
+        "tensor_us": tensor_s * 1e6,
+        "speedup": tensor_s / frozen_s,
+        "bit_identical": True,
     }
 
 
@@ -1113,6 +1173,13 @@ def main() -> int:
             f"compiled {experiment['pretrain']['compiled_s']:.2f}s  "
             f"cross-context smoke {experiment['cross_context_smoke']['compiled_serial_s']:.2f}s, "
             f"bit-identical"
+        )
+    if "serving_level" in payload:
+        zero_shot = payload["serving_level"]["zero_shot_forward"]
+        print(
+            f"zero-shot predict: tensor forward {zero_shot['tensor_us']:.0f}us -> "
+            f"plain-array forward {zero_shot['frozen_us']:.0f}us "
+            f"({zero_shot['speedup']:.2f}x), bit-identical"
         )
     batched = payload["batched_refresh"]
     print(

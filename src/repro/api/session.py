@@ -547,9 +547,6 @@ class Session:
             return self.load(model)
         return self.base_model(context.algorithm)
 
-    # Backwards-compatible private alias (pre-serve callers).
-    _resolve_base = resolve_base
-
     def _serving_estimator(
         self,
         context: JobContext,
@@ -579,7 +576,7 @@ class Session:
         session's per-algorithm model, a string loads from the store, and a
         :class:`BellamyModel` is used directly.
         """
-        base = self._resolve_base(context, model)
+        base = self.resolve_base(context, model)
         est = self._serving_estimator(context, base, samples, max_epochs)
         return est.predict(machines)
 
@@ -620,9 +617,6 @@ class Session:
             )
         return (request.context.context_id, samples_key)
 
-    # Backwards-compatible private alias (pre-serve callers).
-    _group_fingerprint = group_fingerprint
-
     def predict_batch(
         self,
         requests: Sequence[PredictionRequest],
@@ -659,7 +653,7 @@ class Session:
 
         groups: Dict[Tuple, List[int]] = {}
         for index, request in enumerate(requests):
-            groups.setdefault(self._group_fingerprint(request), []).append(index)
+            groups.setdefault(self.group_fingerprint(request), []).append(index)
 
         out: List[Optional[np.ndarray]] = [None] * len(requests)
         fits = 0
@@ -669,7 +663,7 @@ class Session:
         for indices in groups.values():
             lead = requests[indices[0]]
             samples = self._request_samples(lead)
-            base = self._resolve_base(lead.context, model)
+            base = self.resolve_base(lead.context, model)
             # Vectorized zero-shot path only for models with the vanilla
             # predict pipeline (graph/GNN variants thread per-context state
             # through predict() and must go through it).
@@ -720,7 +714,7 @@ class Session:
         :meth:`finetune` once and pass ``est.predict`` to the core
         ``select_scaleout`` (see ``examples/resource_selection.py``).
         """
-        base = self._resolve_base(context, model)
+        base = self.resolve_base(context, model)
         est = self._serving_estimator(context, base, samples, max_epochs)
         return select_scaleout(
             est.predict,

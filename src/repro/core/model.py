@@ -137,18 +137,47 @@ class BellamyModel(Module):
             raise RuntimeError(
                 "model has no fitted scale-out scaler; train or load it first"
             )
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                scaled = self.scaler.transform(scaleout_raw)
-                prediction, _, _ = self.forward(Tensor(scaled), Tensor(properties))
-        finally:
-            self.train(was_training)
+        scaled = self.scaler.transform(scaleout_raw)
+        if type(self).forward is BellamyModel.forward:
+            prediction = self._forward_arrays(scaled, np.asarray(properties, dtype=np.float64))
+        else:
+            # Subclasses with their own forward (the GNN variant) keep it.
+            was_training = self.training
+            self.eval()
+            try:
+                with no_grad():
+                    prediction = self.forward(Tensor(scaled), Tensor(properties))[0].data
+            finally:
+                self.train(was_training)
         # Runtimes are non-negative; aggressive few-shot fine-tuning can push
         # the unconstrained network output below zero far from the training
         # scale-outs, so predictions are clamped at inference.
-        return np.maximum(self.denormalize_runtimes(prediction.data), 0.0)
+        return np.maximum(self.denormalize_runtimes(prediction), 0.0)
+
+    def _forward_arrays(self, scaleout_scaled: np.ndarray, properties: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s prediction in eval mode, on plain arrays.
+
+        The same ops in the same order as the Tensor path, so the result is
+        bit-identical — but no graph, no mode switch and no decoder (the
+        reconstruction only feeds the training loss). Parameters are read
+        live on every call, so loaded or fine-tuned weights need no
+        invalidation.
+        """
+        batch, n_props, vec_size = properties.shape
+        m = self.config.n_essential
+        dim = self.config.encoding_dim
+        embedding = self.f.forward_array(scaleout_scaled)
+        flat = properties.reshape(batch * n_props, vec_size)
+        codes3 = self.autoencoder.encoder.forward_array(flat).reshape(batch, n_props, dim)
+        parts = [embedding, codes3[:, :m, :].reshape(batch, m * dim)]
+        if self.config.use_optional:
+            if n_props <= m:
+                raise ValueError(
+                    f"config expects optional properties but got only {n_props} vectors"
+                )
+            # Tensor.mean's arithmetic: sum, then times the reciprocal count.
+            parts.append(codes3[:, m:, :].sum(axis=1) * (1.0 / (n_props - m)))
+        return self.z.forward_array(np.concatenate(parts, axis=1)).reshape(batch)
 
     def predict_one(self, context: JobContext, machines: float) -> float:
         """Scalar convenience wrapper around :meth:`predict`."""
@@ -188,15 +217,8 @@ class BellamyModel(Module):
 
     def property_codes(self, context: JobContext) -> np.ndarray:
         """The auto-encoder codes of a context's properties (paper Fig. 4)."""
-        matrix = self.featurizer.encode_context(context)
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                codes = self.autoencoder.encode(Tensor(matrix))
-        finally:
-            self.train(was_training)
-        return codes.data.copy()
+        matrix = np.asarray(self.featurizer.encode_context(context), dtype=np.float64)
+        return self.autoencoder.encoder.forward_array(matrix)
 
     # ------------------------------------------------------------------ #
     # Extended persistence (weights + inference state)

@@ -40,10 +40,10 @@ class MinMaxScaler:
             raise RuntimeError("MinMaxScaler.transform called before fit")
         features = np.asarray(features, dtype=np.float64)
         span = self.max_ - self.min_
-        scaled = np.empty_like(features, dtype=np.float64)
         constant = span == 0
-        varying = ~constant
-        scaled[..., varying] = (features[..., varying] - self.min_[varying]) / span[varying]
+        # Whole-array arithmetic (this runs on every prediction); constant
+        # columns divide by 1 and are overwritten below.
+        scaled = (features - self.min_) / np.where(constant, 1.0, span)
         # A feature the training data never varied carries no information;
         # mapping it to the box centre keeps inference well-defined.
         scaled[..., constant] = 0.5

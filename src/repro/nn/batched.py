@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.functional import SELU_ALPHA, SELU_SCALE, _register_mask_refresh, _selu_into
+from repro.nn.functional import SELU_ALPHA, SELU_SCALE, _activate_into, _register_mask_refresh
 from repro.nn.layers import AlphaDropout, FeedForward
 from repro.nn.module import Parameter
 from repro.nn.tape import GraphCompiler
@@ -195,12 +195,7 @@ def linear_act_batched(
     matmul_into(pre)
     scratch = np.empty_like(pre) if activation == "selu" else None
     out_data = np.empty_like(pre)
-    if activation == "selu":
-        _selu_into(pre, out_data, scratch)
-    elif activation == "tanh":
-        np.tanh(pre, out=out_data)
-    else:  # identity
-        np.copyto(out_data, pre)
+    _activate_into(pre, out_data, activation, scratch)
 
     d_buf = np.empty_like(pre) if activation != "identity" else None
     grad_tmp: Dict[str, np.ndarray] = {}
@@ -281,12 +276,7 @@ def linear_act_batched(
 
     def forward_fn(out: Tensor) -> None:
         matmul_into(pre)
-        if activation == "selu":
-            _selu_into(pre, out.data, scratch)
-        elif activation == "tanh":
-            np.tanh(pre, out=out.data)
-        else:
-            np.copyto(out.data, pre)
+        _activate_into(pre, out.data, activation, scratch)
 
     parents = (x_t, weight) if bias is None else (x_t, weight, bias)
     return Tensor._make(out_data, parents, backward_fn, forward_fn, op="linear_act_batched")

@@ -11,7 +11,9 @@ that recomputes its masks from live buffers, which makes them both faster
 (one graph node instead of up to ten) and safe for compiled-tape replay —
 the composed equivalents go through :func:`repro.nn.tensor.where`, whose
 trace-time condition cannot be replayed. Reference compositions are kept as
-``*_reference`` for the gradcheck suite.
+``*_reference`` for the gradcheck suite. :func:`affine_act` is
+:func:`linear_act`'s arithmetic on plain arrays, which graph-free
+inference runs too.
 """
 
 from __future__ import annotations
@@ -44,12 +46,14 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
 
 
 def _selu_into(x: np.ndarray, out: np.ndarray, scratch: Optional[np.ndarray] = None) -> None:
-    """Write ``selu(x)`` into ``out`` (used by forward and tape replay)."""
+    """Write ``selu(x)`` into ``out``, which may be ``x`` itself (used by
+    forward, tape replay and in-place inference)."""
     e = scratch if scratch is not None else np.empty_like(x)
     np.exp(x, out=e)
     e -= 1.0
     e *= SELU_ALPHA
-    np.copyto(out, x)
+    if out is not x:
+        np.copyto(out, x)
     np.copyto(out, e, where=x <= 0.0)
     out *= SELU_SCALE
 
@@ -258,6 +262,51 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 FUSABLE_ACTIVATIONS = ("selu", "tanh", "identity")
 
 
+def _activate_into(
+    pre: np.ndarray, out: np.ndarray, activation: str, scratch: Optional[np.ndarray] = None
+) -> None:
+    """Write ``activation(pre)`` into ``out`` (which may be ``pre``) for
+    one of :data:`FUSABLE_ACTIVATIONS` — the activation half of
+    :func:`affine_act`, shared with the group-axis kernel
+    :func:`repro.nn.batched.linear_act_batched`."""
+    if activation == "selu":
+        _selu_into(pre, out, scratch)
+    elif activation == "tanh":
+        np.tanh(pre, out=out)
+    elif out is not pre:  # identity
+        np.copyto(out, pre)
+
+
+def affine_act(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    activation: str,
+    pre: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Plain-array ``activation(x @ weight.T + bias)``; returns ``out``.
+
+    The one definition of the fused arithmetic: :func:`linear_act`'s eager
+    forward, its tape replay and the graph-free inference path
+    (:meth:`repro.nn.layers.FeedForward.forward_array`) all run it, so the
+    three agree bit for bit. ``pre`` receives the pre-activation (allocated
+    when ``None``) and ``out`` the result; ``out`` defaults to ``pre``
+    itself, in place, for callers that need no pre-activation.
+    ``weight`` is multiplied through its transposed *view*: a contiguous
+    copy would change the BLAS call and round differently. ``activation``
+    must be one of :data:`FUSABLE_ACTIVATIONS`.
+    """
+    pre = np.matmul(x, weight.T, out=pre)
+    if bias is not None:
+        np.add(pre, bias, out=pre)
+    if out is None:
+        out = pre
+    _activate_into(pre, out, activation, scratch)
+    return out
+
+
 def linear_act(
     x: Tensor,
     weight: Tensor,
@@ -285,17 +334,11 @@ def linear_act(
 
     # The pre-activation buffer persists with the op: the backward derives
     # its masks from it, and tape replays refresh it in place.
-    pre = x_t.data @ weight.data.T
-    if bias is not None:
-        pre += bias.data
+    pre = np.empty((x_t.shape[0], weight.shape[0]))
     scratch = np.empty_like(pre) if activation == "selu" else None
     out_data = np.empty_like(pre)
-    if activation == "selu":
-        _selu_into(pre, out_data, scratch)
-    elif activation == "tanh":
-        np.tanh(pre, out=out_data)
-    else:  # identity
-        np.copyto(out_data, pre)
+    bias_data = None if bias is None else bias.data
+    affine_act(x_t.data, weight.data, bias_data, activation, pre, out_data, scratch)
 
     d_buf = np.empty_like(pre) if activation != "identity" else None
 
@@ -337,15 +380,8 @@ def linear_act(
             bias._accumulate(d_pre.sum(axis=0))
 
     def forward_fn(out: Tensor) -> None:
-        np.matmul(x_t.data, weight.data.T, out=pre)
-        if bias is not None:
-            np.add(pre, bias.data, out=pre)
-        if activation == "selu":
-            _selu_into(pre, out.data, scratch)
-        elif activation == "tanh":
-            np.tanh(pre, out=out.data)
-        else:
-            np.copyto(out.data, pre)
+        bias_data = None if bias is None else bias.data
+        affine_act(x_t.data, weight.data, bias_data, activation, pre, out.data, scratch)
 
     parents = (x_t, weight) if bias is None else (x_t, weight, bias)
     return Tensor._make(out_data, parents, backward_fn, forward_fn, op="linear_act")

@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.init import get_initializer
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -197,6 +197,25 @@ class FeedForward(Module):
         if activation.name in F.FUSABLE_ACTIVATIONS and x.ndim == 2:
             return F.linear_act(x, layer.weight, layer.bias, activation.name)
         return activation(layer(x))
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """Inference forward on a plain array, bit-identical to
+        :meth:`forward` in eval mode.
+
+        Fusable layers run :func:`repro.nn.functional.affine_act` on the
+        live parameter arrays and build no graph; dropout is skipped, as it
+        is the identity in eval mode.
+        """
+        hidden = self._array_layer(self.layer1, self.activation1, x)
+        return self._array_layer(self.layer2, self.activation2, hidden)
+
+    @staticmethod
+    def _array_layer(layer: Linear, activation: Activation, x: np.ndarray) -> np.ndarray:
+        if activation.name in F.FUSABLE_ACTIVATIONS and x.ndim == 2:
+            bias = None if layer.bias is None else layer.bias.data
+            return F.affine_act(x, layer.weight.data, bias, activation.name)
+        with no_grad():
+            return activation(layer(Tensor(x))).data
 
     def reset_parameters(self, seed: SeedLike = None) -> None:
         """Re-initialize both linear layers."""

@@ -62,6 +62,22 @@ class TestMinMaxScaler:
         out = MinMaxScaler().fit_transform(data)
         assert (out >= -1e-9).all() and (out <= 1.0 + 1e-9).all()
 
+    @given(
+        hnp.arrays(np.float64, (4, 3), elements=st.floats(-100, 100, allow_nan=False)),
+        hnp.arrays(np.float64, (6, 3), elements=st.floats(-1e3, 1e3, allow_nan=False)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_transform_matches_masked_reference(self, fit_data, data):
+        """Byte-equal to the per-column masked formula, constant columns
+        included (the first column of the fit data is forced constant)."""
+        fit_data[:, 0] = fit_data[0, 0]
+        scaler = MinMaxScaler().fit(fit_data)
+        span = scaler.max_ - scaler.min_
+        varying = span != 0
+        reference = np.full_like(data, 0.5)
+        reference[:, varying] = (data[:, varying] - scaler.min_[varying]) / span[varying]
+        assert scaler.transform(data).tobytes() == reference.tobytes()
+
 
 class TestScaleoutFeatures:
     def test_bellamy_columns(self):

@@ -67,3 +67,34 @@ def test_missing_gated_key_fails_cleanly(
     err = capsys.readouterr().err
     assert f"{'.'.join(path)} missing from the current run" in err
     assert "Traceback" not in err
+
+
+def test_inference_building_graphs_again_fails_the_floor(
+    gate, tmp_path, monkeypatch, capsys, committed
+):
+    """A zero-shot predict back on the Tensor forward reads ~1.0x."""
+    current = copy.deepcopy(committed)
+    zero_shot = current["serving_level"]["zero_shot_forward"]
+    zero_shot["frozen_us"] = zero_shot["tensor_us"]
+    zero_shot["speedup"] = 1.0
+    assert _run(gate, tmp_path, monkeypatch, current) == 1
+    assert (
+        "serving_level.zero_shot_forward.speedup fell to 1.00x"
+        in capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("serving_level", "batch_of_8_same_context", "outputs_match"),
+        ("serving_level", "zero_shot_forward", "bit_identical"),
+    ],
+)
+def test_false_correctness_flag_fails(
+    gate, tmp_path, monkeypatch, capsys, committed, path
+):
+    current = copy.deepcopy(committed)
+    current[path[0]][path[1]][path[2]] = False
+    assert _run(gate, tmp_path, monkeypatch, current) == 1
+    assert f"{'.'.join(path)} is false" in capsys.readouterr().err
