@@ -194,14 +194,13 @@ def cmd_models(args: argparse.Namespace) -> int:
 
     ``--store`` accepts a directory or a store URI (``file://``,
     ``sqlite://``, ``memory://``); ``--backend`` picks the backend for
-    plain paths. ``--migrate`` re-homes pre-shard flat-layout models into
-    the sharded runtime store layout; ``--gc`` sweeps orphaned temp files
-    left behind by crashed writers. Both require ``--store``.
+    plain paths. ``--gc`` sweeps orphaned temp files left behind by
+    crashed writers and requires ``--store``.
     """
     from repro.api import available_estimators, estimator_class
 
-    if (args.migrate or args.gc) and args.store is None:
-        raise ValueError("--migrate/--gc need --store to point at a model store")
+    if args.gc and args.store is None:
+        raise ValueError("--gc needs --store to point at a model store")
 
     rows = []
     for name in available_estimators():
@@ -219,12 +218,6 @@ def cmd_models(args: argparse.Namespace) -> int:
         from repro.core.persistence import ModelStore
 
         store = ModelStore(args.store, backend=getattr(args, "backend", None))
-        if args.migrate:
-            migrated = store.migrate()
-            print(
-                f"migrated {len(migrated)} flat-layout model(s) into the "
-                f"sharded store" + (f": {', '.join(migrated)}" if migrated else "")
-            )
         if args.gc:
             removed = store.gc(max_age_s=args.gc_age)
             print(f"swept {len(removed)} orphaned temp file(s)")

@@ -113,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "URIs carry their own scheme)",
     )
     models.add_argument(
-        "--migrate", action="store_true",
-        help="re-home pre-shard flat-layout models into the sharded store "
-        "(requires --store)",
-    )
-    models.add_argument(
         "--gc", action="store_true",
         help="sweep orphaned temp files left by crashed writers "
         "(requires --store)",

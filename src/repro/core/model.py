@@ -126,7 +126,6 @@ class BellamyModel(Module):
 
     def predict(self, context: JobContext, machines: Sequence[float]) -> np.ndarray:
         """Predict runtimes (seconds) of ``context`` at the given scale-outs."""
-        machines = np.asarray(machines, dtype=np.float64).reshape(-1)
         scaleout_raw, properties = self.featurizer.build_context_arrays(context, machines)
         return self._predict_arrays(scaleout_raw, properties)
 

@@ -2,10 +2,9 @@
 
 The paper's workflow pre-trains a general model once, preserves the model
 state, and later loads + fine-tunes it per context; time-to-fit measurements
-explicitly include "loading a pre-trained model from disk". The store writes
-one ``.npz`` (weights + scaler + runtime scale + an embedded copy of the
-config/metadata JSON) and one ``.json`` sidecar (the same config + metadata,
-kept human-readable) per model.
+explicitly include "loading a pre-trained model from disk". A stored model
+is exactly one self-contained ``.npz``: weights + scaler + runtime scale +
+the config/metadata JSON embedded under a reserved key.
 
 Since the runtime refactor, :class:`ModelStore` is a **typed facade over**
 :class:`repro.runtime.ArtifactStore`: model files live in a two-level
@@ -13,15 +12,12 @@ hash-fan-out layout (``root/ab/cd/<name>.npz``) that stays fast at 10k+
 stored models, every save holds the artifact's cross-process file lock (two
 processes saving the same name serialize instead of interleaving), and
 ``names()``/``exists()`` answer from the store index instead of scanning
-the directory. Models written by the old flat layout
-(``root/<name>.npz``) keep loading transparently and are re-homed into
-their shard the next time they are saved (or wholesale via
-:meth:`ModelStore.migrate`).
+the directory.
 
-Saves are **crash-safe**: the ``.npz`` is self-contained and committed via
-temp-file + ``os.replace``, and it is the single commit point — a model
-exists exactly when its ``.npz`` does, and any ``.npz`` that exists loads to
-a complete, consistent model. An interruption at any instant leaves either
+Saves are **crash-safe**: the ``.npz`` is committed via temp-file +
+``os.replace``, and it is the single commit point — a model exists exactly
+when its ``.npz`` does, and any ``.npz`` that exists loads to a complete,
+consistent model. An interruption at any instant leaves either
 the previous model (fully intact) or the new one, never a torn mix.
 
 Where the index and locks live is pluggable (see
@@ -38,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -93,7 +89,7 @@ class ModelStore:
     """A directory of named, pre-trained Bellamy models.
 
     A typed facade: naming, serialization format, and model-class
-    round-tripping live here; sharding, locking, indexing, and migration
+    round-tripping live here; sharding, locking, indexing, and temp GC
     live in the underlying :class:`~repro.runtime.ArtifactStore`
     (reachable as :attr:`artifacts` for maintenance operations).
     """
@@ -135,9 +131,8 @@ class ModelStore:
             ) from None
 
     def weights_path(self, name: str) -> Optional[Path]:
-        """The resolved on-disk ``.npz`` path of ``name`` (``None`` when the
-        model is not stored). Layout-aware: prefers the sharded location,
-        falls back to the pre-shard flat file."""
+        """The on-disk ``.npz`` path of ``name`` in its shard (``None``
+        when the model is not stored)."""
         self._check_name(name)
         return self.artifacts.find(name, "npz")
 
@@ -152,13 +147,11 @@ class ModelStore:
         The concrete model class is recorded so graph-aware variants
         round-trip (see :func:`model_class_registry`). The config/metadata
         JSON is embedded *inside* the ``.npz``, which is committed via
-        temp-file + ``os.replace`` — the single atomic commit point. The
-        ``.json`` sidecar is written afterwards purely for human inspection;
-        a crash between the two commits still leaves a loadable,
-        self-consistent model (the online refresh path relies on this to
-        swap models under live traffic). The whole save runs under the
-        artifact's cross-process file lock, so concurrent saves of one name
-        serialize instead of interleaving their files.
+        temp-file + ``os.replace`` — the single atomic commit point, so a
+        reader sees the previous model or the new one, whole (the online
+        refresh path relies on this to swap models under live traffic).
+        The save runs under the artifact's cross-process lock, so
+        concurrent saves of one name serialize.
         """
         self._check_name(name)
         payload = {
@@ -172,34 +165,33 @@ class ModelStore:
         state[_META_KEY] = np.array(json.dumps(payload, sort_keys=True))
         with self.artifacts.transaction(name) as txn:
             txn.write("npz", lambda path: save_npz_dict(path, state))
-            txn.write("json", lambda path: save_json(path, payload))
+
+    def _weights_path(self, name: str) -> Path:
+        path = self.weights_path(name)
+        if path is None:
+            raise FileNotFoundError(f"no model named {name!r} in {self.root}")
+        return path
 
     @staticmethod
-    def _split_state(state: Dict, meta_path: Optional[Path]) -> Tuple[Dict, Dict]:
-        """(weights, config/metadata payload) of a loaded ``.npz`` state.
+    def _payload(name: str, meta_array: Optional[np.ndarray]) -> Dict:
+        """The embedded config/metadata payload of ``name``'s archive.
 
-        Stores written before the embedded-metadata format fall back to the
-        ``.json`` sidecar.
+        The archive's bytes come from disk, so a file that lacks the
+        reserved member (not written by :meth:`save`) fails loudly here.
         """
-        meta_array = state.pop(_META_KEY, None)
-        if meta_array is not None:
-            return state, json.loads(str(meta_array))
-        if meta_path is None:
-            raise FileNotFoundError(
-                "model has no embedded metadata and no .json sidecar"
+        if meta_array is None:
+            raise ValueError(
+                f"stored model {name!r} has no embedded metadata "
+                f"({_META_KEY!r}); it was not written by ModelStore.save"
             )
-        return state, load_json(meta_path)
+        return json.loads(str(meta_array))
 
     def load(self, name: str) -> BellamyModel:
         """Load the model saved under ``name`` (restoring its concrete class)."""
-        weights_path = self.weights_path(name)
-        if weights_path is None:
-            raise FileNotFoundError(f"no model named {name!r} in {self.root}")
-        state, payload = self._split_state(
-            load_npz_dict(weights_path), self.artifacts.find(name, "json")
-        )
+        state = load_npz_dict(self._weights_path(name))
+        payload = self._payload(name, state.pop(_META_KEY, None))
         registry = model_class_registry()
-        class_name = payload.get("model_class", "BellamyModel")
+        class_name = payload["model_class"]
         try:
             model_cls = registry[class_name]
         except KeyError:
@@ -213,27 +205,15 @@ class ModelStore:
         return model
 
     def metadata(self, name: str) -> Dict:
-        """The metadata stored alongside ``name``.
+        """The metadata stored with ``name``, read from its ``.npz``.
 
-        Read from the ``.npz`` (the committed source of truth), falling back
-        to the ``.json`` sidecar for stores written by older versions. The
-        archive is read lazily — only the embedded metadata member is
+        The archive is read lazily — only the embedded metadata member is
         decompressed, never the weights.
         """
-        weights_path = self.weights_path(name)
-        meta_path = self.artifacts.find(name, "json")
-        if weights_path is not None:
-            with np.load(weights_path, allow_pickle=False) as archive:
-                if _META_KEY in archive.files:
-                    return json.loads(str(archive[_META_KEY]))["metadata"]
-            if meta_path is None:
-                raise FileNotFoundError(
-                    f"model {name!r} has neither embedded metadata nor a sidecar"
-                )
-            return load_json(meta_path)["metadata"]
-        if meta_path is None:
-            raise FileNotFoundError(f"no model named {name!r} in {self.root}")
-        return load_json(meta_path)["metadata"]
+        with np.load(self._weights_path(name), allow_pickle=False) as archive:
+            has_meta = _META_KEY in archive.files
+            meta_array = archive[_META_KEY] if has_meta else None
+        return self._payload(name, meta_array)["metadata"]
 
     def exists(self, name: str) -> bool:
         """Whether a model named ``name`` is stored (index lookup + O(1)
@@ -242,8 +222,7 @@ class ModelStore:
         return self.artifacts.exists(name, "npz")
 
     def names(self) -> List[str]:
-        """All stored model names (sorted), answered from the store index
-        plus any not-yet-migrated flat-layout files."""
+        """All stored model names (sorted), answered from the store index."""
         return self.artifacts.names(member="npz")
 
     def generation(self) -> int:
@@ -302,11 +281,6 @@ class ModelStore:
     # ------------------------------------------------------------------ #
     # Maintenance passthrough
     # ------------------------------------------------------------------ #
-
-    def migrate(self) -> List[str]:
-        """Re-home every pre-shard flat-layout model into the sharded
-        layout and rebuild the index; returns the migrated names."""
-        return self.artifacts.migrate_flat()
 
     def gc(self, max_age_s: float = 3600.0) -> List[Path]:
         """Sweep orphaned temp files left by crashed writers."""

@@ -19,10 +19,10 @@ convention. ``repro.runtime`` is the shared substrate they all sit on now:
 :class:`ArtifactStore` (+ :class:`~repro.runtime.locks.FileLock`)
     Sharded two-level hash-fan-out artifact directories with in-process +
     cross-process locking, an index behind ``names()``/``exists()``
-    (no directory scans), transparent reads of pre-shard flat layouts,
-    and orphaned-temp GC. :class:`repro.core.persistence.ModelStore` is a
-    typed facade over it. Where the index, locks, and bytes live is a
-    pluggable :mod:`repro.runtime.backends` backend — local FS (default),
+    (no directory scans), and orphaned-temp GC.
+    :class:`repro.core.persistence.ModelStore` is a typed facade over
+    it. Where the index, locks, and bytes live is a pluggable
+    :mod:`repro.runtime.backends` backend — local FS (default),
     WAL-mode SQLite, or in-process memory — selected per store URI
     (``file://`` / ``sqlite://`` / ``memory://``) and proven equivalent
     by the conformance suite in ``tests/runtime/conformance/``.

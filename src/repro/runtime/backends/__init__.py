@@ -12,7 +12,7 @@ backend           index / locks                selected by
 ================  ===========================  =============================
 ``local_fs``      ``index.json`` + ``flock``   plain paths, ``file://`` URIs
 ``sqlite``        WAL SQLite rows + leases     ``sqlite://`` URIs
-``memory``        in-process dict + blob map   ``memory://`` URIs
+``memory``        in-process dict + ``flock``  ``memory://`` URIs
 ================  ===========================  =============================
 
 Selection is by explicit instance, backend name, URI scheme, or the

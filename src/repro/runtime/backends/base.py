@@ -56,12 +56,6 @@ _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 
 INDEX_NAME = "index.json"
 
-#: File names that are store infrastructure (never parsed as members).
-_INFRA_NAMES = frozenset({INDEX_NAME})
-#: File-name prefixes reserved for backend databases (``store.sqlite3``
-#: plus its WAL sidecars).
-_INFRA_PREFIXES = ("store.sqlite3",)
-
 #: Environment variable naming the default backend for plain (scheme-less)
 #: store roots: ``local_fs``, ``sqlite``, or ``memory``.
 BACKEND_ENV = "REPRO_STORE_BACKEND"
@@ -94,11 +88,9 @@ def parse_store_uri(root: PathLike) -> Tuple[Optional[str], str]:
 
 
 def _parse_member_file(filename: str) -> Optional[Tuple[str, str]]:
-    """``(artifact, member)`` encoded by a store file name, else ``None``."""
-    if filename in _INFRA_NAMES or filename.endswith(".tmp"):
-        return None
-    if filename.startswith(_INFRA_PREFIXES):
-        return None
+    """``(artifact, member)`` encoded by a shard file name, else ``None``
+    (temp and lock files carry reserved suffixes, so they never parse).
+    Store infrastructure lives only at the root, never in a shard."""
     name, dot, member = filename.rpartition(".")
     if not dot or not name:
         return None
@@ -112,10 +104,11 @@ def _parse_member_file(filename: str) -> Optional[Tuple[str, str]]:
 class StoreBackend(abc.ABC):
     """Storage primitives one artifact backend must provide.
 
-    Concrete layout/data-plane methods (sharding, staged commits, scans,
-    temp GC) are shared here — every backend keeps member *files* on a
-    real filesystem root so crash-window and prefix-commit semantics are
-    uniform — while the index and locking planes are abstract. Subclasses
+    Concrete layout/data-plane methods (sharding, staged commits, the
+    shard scan, temp GC) are shared here — every backend keeps member
+    *files* on a real filesystem root so crash-window and prefix-commit
+    semantics are uniform — while the index and locking planes are
+    abstract. Subclasses
     set :attr:`scheme` (their store-URI scheme) and implement the index
     and lock methods::
 
@@ -153,16 +146,6 @@ class StoreBackend(abc.ABC):
         """The sharded path of one member file (existing or not)."""
         return self.shard_dir(name) / f"{name}.{member}"
 
-    def flat_path(self, name: str, member: str) -> Optional[Path]:
-        """The pre-shard flat-layout path, ``None`` when it would collide
-        with store infrastructure (the index file, backend databases)."""
-        candidate = self.root / f"{name}.{member}"
-        if candidate.name in _INFRA_NAMES or candidate.name.startswith(
-            _INFRA_PREFIXES
-        ):
-            return None
-        return candidate
-
     def stage_path(self, name: str, member: str, counter: int) -> Path:
         """A fresh temp path for staging one member write (shard created)."""
         shard = self.shard_dir(name)
@@ -170,38 +153,19 @@ class StoreBackend(abc.ABC):
         return shard / f"{name}.{member}.{os.getpid()}.{counter}.tmp"
 
     # ------------------------------------------------------------------ #
-    # Data plane (filesystem defaults; MemoryBackend layers its blob map)
+    # Data plane (filesystem, shared by every backend)
     # ------------------------------------------------------------------ #
 
     def commit_member(self, name: str, member: str, tmp: Path) -> Path:
         """Atomically promote a staged temp file to the member's final
-        path (``os.replace``), dropping any stale flat-layout copy.
-        Returns the final path."""
+        path (``os.replace``). Returns the final path."""
         final = self.member_path(name, member)
         os.replace(tmp, final)
-        flat = self.flat_path(name, member)
-        if flat is not None:
-            flat.unlink(missing_ok=True)
         return final
 
     def delete_member(self, name: str, member: str) -> None:
-        """Remove one member's bytes — sharded and flat (no error if
-        absent)."""
+        """Remove one member's bytes (no error if absent)."""
         self.member_path(name, member).unlink(missing_ok=True)
-        flat = self.flat_path(name, member)
-        if flat is not None:
-            flat.unlink(missing_ok=True)
-
-    def scan_flat(self) -> Dict[str, Set[str]]:
-        """Artifacts still in the pre-shard flat layout (top level only)."""
-        found: Dict[str, Set[str]] = {}
-        for path in self.root.iterdir():
-            if not path.is_file():
-                continue
-            parsed = _parse_member_file(path.name)
-            if parsed is not None:
-                found.setdefault(parsed[0], set()).add(parsed[1])
-        return found
 
     def scan_shards(self) -> Dict[str, Set[str]]:
         """Every sharded artifact, by walking the two-level fan-out."""
@@ -222,7 +186,7 @@ class StoreBackend(abc.ABC):
 
     def stored_members(self, name: str) -> Set[str]:
         """The member suffixes whose bytes are committed for ``name``
-        (sharded layout only; no index consulted)."""
+        (no index consulted)."""
         members: Set[str] = set()
         shard = self.shard_dir(name)
         if shard.exists():

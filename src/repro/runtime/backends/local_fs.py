@@ -63,6 +63,14 @@ class LocalFsBackend(StoreBackend):
     def read_index(self) -> Optional[Dict[str, List[str]]]:
         """The ``name -> members`` map, cached by file signature; ``None``
         before the first index write."""
+        return self._cached_index()
+
+    def index_members(self, name: str) -> Optional[List[str]]:
+        """Point query answered from the same signature-cached document."""
+        index = self._cached_index()
+        return None if index is None else index.get(name)
+
+    def _cached_index(self) -> Optional[Dict[str, List[str]]]:
         try:
             stat = self._index_path.stat()
         except FileNotFoundError:
@@ -87,7 +95,7 @@ class LocalFsBackend(StoreBackend):
         guaranteed to observe (at least) the index state it reports.
         """
         with self._index_lock:
-            artifacts = dict(self.read_index() or {})
+            artifacts = dict(self._cached_index() or {})
             mutate(artifacts)
             save_json(self._index_path, {"version": 1, "artifacts": artifacts})
             self._index_cache = None  # next read picks up the fresh file

@@ -1,15 +1,10 @@
-"""In-process backend: dict index plus a content-addressed blob map.
+"""In-process backend: a dict index over a private temp directory.
 
-The fast test double, and deliberately the *shape* of a future remote /
-object-store backend: every committed member is also recorded in a
-content-addressed blob map (``sha256(bytes) -> bytes``) with
-``put_blob`` / ``get_blob`` / ``list_blobs`` — exactly the primitive set
-an S3/GCS-style backend would implement over the network. Member files
-are still materialized under a private temp directory so the store's
-generic read, crash-window, and GC machinery behaves identically to the
-filesystem backends; what moves in-process is the index (a plain dict —
-no ``index.json``, no database) and therefore every index operation's
-cost.
+The fast test double. Member files are materialized under a private temp
+directory so the store's generic read, crash-window, and GC machinery
+behaves identically to the filesystem backends; what moves in-process is
+the index (a plain dict — no ``index.json``, no database) and therefore
+every index operation's cost.
 
 Two flavours, picked by URI:
 
@@ -21,24 +16,15 @@ Two flavours, picked by URI:
 Single-process by design: nothing is shared across processes, so the
 cross-process legs of the conformance suite cover the filesystem and
 SQLite backends only.
-
->>> backend = MemoryBackend()
->>> digest = backend.put_blob(b"weights")
->>> backend.get_blob(digest)
-b'weights'
->>> backend.list_blobs() == [digest]
-True
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 import tempfile
 import threading
 import weakref
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.runtime.backends.base import StoreBackend
@@ -52,12 +38,10 @@ _REGISTRY_LOCK = threading.Lock()
 
 
 class MemoryBackend(StoreBackend):
-    """Dict-indexed, content-addressed, in-process artifact backend.
+    """Dict-indexed, in-process artifact backend.
 
     Commits flow through the same staged-temp + ``os.replace`` path as
-    the filesystem backends (under a private temp root), then land a
-    second time in the blob map keyed by content hash — so the backend
-    doubles as an object-store prototype::
+    the filesystem backends, under a private temp root::
 
         store = ArtifactStore("ignored", backend=MemoryBackend())
         with store.transaction("model-a") as txn:
@@ -80,9 +64,6 @@ class MemoryBackend(StoreBackend):
         self.key = key
         self._state_lock = threading.RLock()
         self._index: Dict[str, Set[str]] = {}
-        self._blobs: Dict[str, bytes] = {}
-        #: ``name -> member -> blob digest`` for committed members.
-        self._refs: Dict[str, Dict[str, str]] = {}
         self._generation = 0
         #: PID this instance was built in — state is process-private, so
         #: generation checks from a forked child must fail loudly rather
@@ -109,58 +90,6 @@ class MemoryBackend(StoreBackend):
     def describe(self) -> str:
         """``memory://<key>`` (or the anonymous-instance placeholder)."""
         return f"memory://{self.key or '<anonymous>'}"
-
-    # ------------------------------------------------------------------ #
-    # Blob plane (the object-store shape)
-    # ------------------------------------------------------------------ #
-
-    def put_blob(self, data: bytes) -> str:
-        """Store ``data`` content-addressed; returns its sha256 digest."""
-        digest = hashlib.sha256(data).hexdigest()
-        with self._state_lock:
-            self._blobs[digest] = data
-        return digest
-
-    def get_blob(self, digest: str) -> bytes:
-        """The bytes stored under ``digest`` (KeyError when absent)."""
-        with self._state_lock:
-            return self._blobs[digest]
-
-    def list_blobs(self) -> List[str]:
-        """Sorted digests of every resident blob."""
-        with self._state_lock:
-            return sorted(self._blobs)
-
-    def blob_digest(self, name: str, member: str) -> Optional[str]:
-        """The digest a committed member's bytes landed under, if any."""
-        with self._state_lock:
-            return self._refs.get(name, {}).get(member)
-
-    # ------------------------------------------------------------------ #
-    # Data plane (files + blob mirror)
-    # ------------------------------------------------------------------ #
-
-    def commit_member(self, name: str, member: str, tmp: Path) -> Path:
-        """Commit the staged file *and* mirror its bytes into the blob
-        map under their content hash."""
-        digest = self.put_blob(tmp.read_bytes())
-        final = super().commit_member(name, member, tmp)
-        with self._state_lock:
-            self._refs.setdefault(name, {})[member] = digest
-        return final
-
-    def delete_member(self, name: str, member: str) -> None:
-        """Remove the member file and drop now-unreferenced blobs."""
-        super().delete_member(name, member)
-        with self._state_lock:
-            refs = self._refs.get(name)
-            if refs is not None:
-                refs.pop(member, None)
-                if not refs:
-                    del self._refs[name]
-            live = {d for refs in self._refs.values() for d in refs.values()}
-            for digest in [d for d in self._blobs if d not in live]:
-                del self._blobs[digest]
 
     # ------------------------------------------------------------------ #
     # Index plane (a dict)

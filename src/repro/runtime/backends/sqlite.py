@@ -35,7 +35,7 @@ import sqlite3
 import threading
 import time
 import uuid
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.runtime.backends.base import PathLike, StoreBackend
 from repro.runtime.locks import LockTimeout, _thread_lock_for
@@ -221,6 +221,10 @@ class SqliteBackend(StoreBackend):
         self.db_path = self.root / DB_NAME
         self._busy_timeout_s = busy_timeout_s
         self._local = threading.local()
+        #: ``(generation, index)`` of the last full read: the generation
+        #: row is bumped in the same transaction as every index mutation,
+        #: so an unchanged generation means an unchanged index.
+        self._index_cache: Optional[Tuple[int, Dict[str, List[str]]]] = None
         conn = self._conn()
         for statement in _SCHEMA:
             conn.execute(statement)
@@ -278,13 +282,20 @@ class SqliteBackend(StoreBackend):
 
     def read_index(self) -> Optional[Dict[str, List[str]]]:
         """The full ``name -> members`` map (``{}`` when empty — the
-        database itself is the index, so it always "exists")."""
+        database itself is the index, so it always "exists"), cached by
+        the generation row. The generation is read first, so the cached
+        rows are never older than the generation they are keyed by."""
+        generation = self.generation()
+        cache = self._index_cache
+        if cache is not None and cache[0] == generation:
+            return cache[1]
         rows = self._conn().execute(
             "SELECT name, member FROM artifacts ORDER BY name, member"
         ).fetchall()
         artifacts: Dict[str, List[str]] = {}
         for name, member in rows:
             artifacts.setdefault(name, []).append(member)
+        self._index_cache = (generation, artifacts)
         return artifacts
 
     def index_members(self, name: str) -> Optional[List[str]]:

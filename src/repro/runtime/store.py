@@ -16,10 +16,6 @@ persists named artifacts) builds on:
 * **Index** — a ``name -> [members]`` index makes ``names()`` and
   ``exists()`` lookups (with an O(1) ``stat`` fallback), not directory
   scans.
-* **Migration** — artifacts written by the old flat layout are still
-  found (read path falls back to ``root/<name>.<member>``) and are
-  re-homed into their shard the next time they are saved, or wholesale
-  via :meth:`migrate_flat`.
 * **GC** — interrupted writers leave only ``*.tmp`` files, which
   :meth:`gc_temp` sweeps once they are demonstrably orphaned.
 
@@ -39,10 +35,10 @@ every member either at its previous or its new content — never torn::
 
     store = ArtifactStore("artifacts/")              # local FS (default)
     store = ArtifactStore("sqlite:///srv/models")    # SQLite index+locks
-    with store.transaction("sgd-base") as txn:
-        txn.write("npz", lambda path: save_npz_dict(path, state))
-        txn.write("json", lambda path: save_json(path, payload))
-    store.exists("sgd-base", "npz")     # index-backed, no directory scan
+    with store.transaction("report") as txn:
+        txn.write("npz", lambda path: save_npz_dict(path, arrays))
+        txn.write("json", lambda path: save_json(path, summary))
+    store.exists("report", "npz")       # index-backed, no directory scan
 """
 
 from __future__ import annotations
@@ -51,16 +47,14 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.resilience import faults as _faults
 from repro.runtime.backends.base import (
     _MEMBER_RE,
     _NAME_RE,
     _RESERVED_MEMBERS,
-    INDEX_NAME,
     StoreBackend,
-    _parse_member_file,
     make_backend,
 )
 
@@ -81,11 +75,12 @@ class ArtifactTransaction:
     Members commit individually: each :meth:`write` lands atomically the
     moment it returns, so an interrupted transaction leaves a prefix of
     its members committed (the caller orders them so any prefix is
-    consistent — the model store writes the self-contained ``npz`` first)::
+    consistent; a model is one self-contained ``npz``, so its save has a
+    single commit point)::
 
         with store.transaction("name") as txn:
-            txn.write("npz", write_weights)     # the commit point
-            txn.write("json", write_sidecar)    # human-readable extra
+            txn.write("npz", write_arrays)      # committed on return
+            txn.write("json", write_summary)    # a second, later commit
     """
 
     def __init__(self, store: "ArtifactStore", name: str) -> None:
@@ -138,11 +133,10 @@ class ArtifactStore:
     The default backend keeps the historical on-disk layout:
     ``root/ab/cd/<name>.<member>`` with ``ab``/``cd`` taken from
     ``sha256(name)``; ``root/index.json`` is the name index; ``*.lock``
-    files carry the cross-process locks; pre-shard flat files
-    (``root/<name>.<member>``) remain readable and are re-homed on save.
-    ``root`` may also be a store URI (``file://``, ``sqlite://``,
-    ``memory://``), or ``backend`` may name/carry a
-    :class:`~repro.runtime.backends.StoreBackend` explicitly::
+    files carry the cross-process locks. ``root`` may also be a store URI
+    (``file://``, ``sqlite://``, ``memory://``), or ``backend`` may
+    name/carry a :class:`~repro.runtime.backends.StoreBackend`
+    explicitly::
 
         store = ArtifactStore(tmp_dir)
         with store.transaction("model-a") as txn:
@@ -263,32 +257,23 @@ class ArtifactStore:
         """The sharded path of one member file (existing or not)."""
         return self.backend.member_path(self.check_name(name), member)
 
-    def flat_path(self, name: str, member: str) -> Optional[Path]:
-        """The pre-shard flat-layout path, ``None`` when it would collide
-        with store infrastructure (the index file)."""
-        return self.backend.flat_path(self.check_name(name), member)
-
     def find(self, name: str, member: str) -> Optional[Path]:
-        """The existing path of a member — sharded first, then the legacy
-        flat layout — or ``None``.
+        """The existing path of a member, or ``None``.
 
         Self-healing: a committed member that the index does not know
         about (a writer crashed between its member commit and the index
         registration) is registered on sight, so ``names()`` converges
         back to the stored bytes without a manual :meth:`rebuild_index`.
+        The check is the backend's ``index_members`` point query.
         """
         t0 = self._tick()
         try:
-            sharded = self.member_path(name, member)
-            if sharded.exists():
-                index = self.backend.read_index()
-                if index is not None and member not in index.get(name, ()):
-                    self.backend.register(name, [member])
-                return sharded
-            flat = self.flat_path(name, member)
-            if flat is not None and flat.exists():
-                return flat
-            return None
+            path = self.member_path(name, member)
+            if not path.exists():
+                return None
+            if member not in (self.backend.index_members(name) or ()):
+                self.backend.register(name, [member])
+            return path
         finally:
             self._tock("find", t0)
 
@@ -301,13 +286,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # Index
     # ------------------------------------------------------------------ #
-
-    def _read_index(self) -> Optional[Dict[str, List[str]]]:
-        """The ``name -> members`` map (backend-delegated)."""
-        return self.backend.read_index()
-
-    def _register(self, name: str, members: List[str]) -> None:
-        self.backend.register(name, members)
 
     def _fire_index(self) -> None:
         """The ``store.index`` fault-injection point (writer paths only —
@@ -322,8 +300,6 @@ class ArtifactStore:
         directory or a crash between a member commit and its index update.
         """
         found = self.backend.scan_shards()
-        for name, members in self.backend.scan_flat().items():
-            found.setdefault(name, set()).update(members)
         self._fire_index()
         self.backend.replace_index(
             {name: sorted(members) for name, members in found.items()}
@@ -337,9 +313,9 @@ class ArtifactStore:
     def exists(self, name: str, member: Optional[str] = None) -> bool:
         """Whether ``name`` is stored (optionally: with ``member``).
 
-        Index lookup first; a miss falls back to two ``stat`` calls
-        (sharded then flat) so a concurrent writer's just-committed
-        artifact is never reported absent. Never scans a directory.
+        Index lookup first; a miss falls back to a ``stat`` of the member
+        path so a concurrent writer's just-committed artifact is never
+        reported absent. Never scans a directory.
         """
         self.check_name(name)
         t0 = self._tick()
@@ -359,7 +335,6 @@ class ArtifactStore:
         try:
             members = set(self.backend.index_members(self.check_name(name)) or ())
             members.update(self.backend.stored_members(name))
-            members.update(self.backend.scan_flat().get(name, ()))
             return sorted(members)
         finally:
             self._tock("members", t0)
@@ -368,20 +343,15 @@ class ArtifactStore:
         """All stored artifact names (sorted), optionally filtered to those
         carrying ``member``.
 
-        Index-backed: cost is one index read plus a top-level scan for
-        not-yet-migrated flat artifacts — independent of the artifact
-        count, unlike the pre-runtime full-directory glob.
+        Index-backed: one index read, no directory scan.
         """
         t0 = self._tick()
         try:
-            out: Set[str] = set()
-            for name, members in (self.backend.read_index() or {}).items():
-                if member is None or member in members:
-                    out.add(name)
-            for name, flat_members in self.backend.scan_flat().items():
-                if member is None or member in flat_members:
-                    out.add(name)
-            return sorted(out)
+            return sorted(
+                name
+                for name, members in (self.backend.read_index() or {}).items()
+                if member is None or member in members
+            )
         finally:
             self._tock("names", t0)
 
@@ -439,15 +409,14 @@ class ArtifactStore:
             self.retry.call(attempt)
 
     def delete(self, name: str) -> None:
-        """Remove an artifact — every member, sharded and flat, plus its
-        index entry (no error if absent)."""
+        """Remove an artifact — every member plus its index entry (no
+        error if absent)."""
         self.check_name(name)
         t0 = self._tick()
         with self.backend.lock(name):
             try:
                 candidates = set(self.backend.index_members(name) or ())
                 candidates.update(self.backend.stored_members(name))
-                candidates.update(self.backend.scan_flat().get(name, ()))
                 for member in candidates:
                     self.backend.delete_member(name, member)
                 self._fire_index()
@@ -458,31 +427,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
-
-    def migrate_flat(self) -> List[str]:
-        """Re-home every pre-shard flat-layout artifact into its shard.
-
-        Returns the migrated names. Idempotent; the index is rebuilt
-        afterwards so it reflects exactly what the store now holds.
-        """
-        migrated = []
-        for name, members in sorted(self.backend.scan_flat().items()):
-            shard = self.backend.shard_dir(name)
-            shard.mkdir(parents=True, exist_ok=True)
-            with self.backend.lock(name):
-                for member in sorted(members):
-                    flat = self.backend.flat_path(name, member)
-                    if flat is None or not flat.exists():
-                        continue
-                    target = self.backend.member_path(name, member)
-                    if target.exists():
-                        # A sharded save already superseded this flat copy.
-                        flat.unlink(missing_ok=True)
-                    else:
-                        os.replace(flat, target)
-            migrated.append(name)
-        self.rebuild_index()
-        return migrated
 
     def gc_temp(self, max_age_s: float = 3600.0) -> List[Path]:
         """Delete orphaned ``*.tmp`` files older than ``max_age_s`` seconds.

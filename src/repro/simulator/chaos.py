@@ -70,7 +70,7 @@ def build_fault_plan(
     seed: int = 0,
     refresh_failures: int = 2,
     lock_timeouts: int = 2,
-    commit_delays: int = 2,
+    commit_delays: int = 1,
     index_delays: int = 1,
     predict_errors: int = 2,
     predict_corruptions: int = 1,
@@ -80,11 +80,14 @@ def build_fault_plan(
     """The scenario's deterministic outage: every site, every fault kind.
 
     Each spec is ``max_fires``-capped so the outage clears mid-run —
-    recovery, not mere failure, is what the scenario asserts. The
-    ``store.index`` site is stalled (``delay``) rather than failed in the
-    default plan — a *raised* index fault leaves a committed-but-unindexed
-    artifact, which is the store's self-heal contract and is pinned by the
-    backend conformance suite instead.
+    recovery, not mere failure, is what the scenario asserts. Every cap
+    must be reachable, or the plan never fully fires: the fault run makes
+    one store commit (one refreshed model, a single ``npz`` member), so
+    ``commit_delays`` is 1. The ``store.index`` site is stalled
+    (``delay``) rather than failed in the default plan — a *raised* index
+    fault leaves a committed-but-unindexed artifact, which is the store's
+    self-heal contract and is pinned by the backend conformance suite
+    instead.
 
     ``worker_crashes`` arms the ``fleet.worker`` site — a fault fired at
     worker bootstrap, which kills the forked process outright and puts the

@@ -213,36 +213,25 @@ class TestModelsCommand:
         assert "bellamy-ft" in out
         assert "sgd-quick" in out
 
-    def test_migrate_rehomes_flat_models(self, tmp_path, capsys):
-        # Fabricate a pre-shard flat-layout store, then migrate it.
-        import numpy as np
+    def test_gc_sweeps_orphaned_temp_files(self, store_with_model, capsys):
+        import os
+        import time
 
-        from repro.core.config import BellamyConfig
-        from repro.core.model import BellamyModel
-        from repro.data.schema import JobContext
-        from repro.utils.serialization import save_json, save_npz_dict
+        from repro.runtime import ArtifactStore
 
-        model = BellamyModel(BellamyConfig(seed=0))
-        context = JobContext("sgd", "m4.xlarge", 1000, "dense")
-        raw, _ = model.featurizer.build_context_arrays(context, [2, 4, 8])
-        model.fit_scaler(raw)
-        model.set_runtime_scale(np.array([100.0, 300.0]))
-        save_npz_dict(tmp_path / "flat-model.npz", model.full_state_dict())
-        save_json(
-            tmp_path / "flat-model.json",
-            {"config": model.config.to_dict(), "model_class": "BellamyModel",
-             "metadata": {}},
-        )
-        rc = main(["models", "--store", str(tmp_path), "--migrate", "--gc"])
+        shard = ArtifactStore(store_with_model).shard_dir("sgd-quick")
+        orphan = shard / "sgd-quick.npz.1.0.tmp"
+        orphan.write_text("partial")
+        ancient = time.time() - 7200
+        os.utime(orphan, (ancient, ancient))
+        rc = main(["models", "--store", str(store_with_model), "--gc"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "migrated 1 flat-layout model(s)" in out
-        assert "swept 0 orphaned temp file(s)" in out
-        assert "flat-model" in out
-        assert not (tmp_path / "flat-model.npz").exists()
-        assert ModelStore(tmp_path).exists("flat-model")
+        assert "swept 1 orphaned temp file(s)" in out
+        assert "sgd-quick" in out
+        assert not orphan.exists()
 
-    def test_migrate_without_store_is_an_error(self, capsys):
-        rc = main(["models", "--migrate"])
+    def test_gc_without_store_is_an_error(self, capsys):
+        rc = main(["models", "--gc"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import repro.utils.serialization as serialization
 from repro.core.config import BellamyConfig
 from repro.core.model import BellamyModel
 from repro.core.persistence import ModelStore
-from repro.utils.serialization import save_json, save_npz_dict
+from repro.utils.serialization import save_npz_dict
 
 
 @pytest.fixture()
@@ -75,28 +75,6 @@ def test_crash_during_weights_write_leaves_no_model(tmp_path, model, monkeypatch
     assert _states_equal(model, store.load("m"))
 
 
-def test_crash_between_weights_and_sidecar_still_loads(tmp_path, model, monkeypatch):
-    """A crash after the .npz replace: the model is committed and loadable
-    even though the human-readable .json sidecar was never written."""
-    store = ModelStore(tmp_path)
-
-    def exploding_save_json(*args, **kwargs):
-        raise _Crash("power loss")
-
-    import repro.core.persistence as persistence
-
-    monkeypatch.setattr(persistence, "save_json", exploding_save_json)
-    with pytest.raises(_Crash):
-        store.save("m", model, metadata={"v": 1})
-    monkeypatch.undo()
-
-    assert store.exists("m")
-    assert not (tmp_path / "m.json").exists()
-    loaded = store.load("m")  # metadata embedded in the .npz
-    assert _states_equal(model, loaded)
-    assert store.metadata("m") == {"v": 1}
-
-
 def test_interrupted_overwrite_keeps_a_consistent_model(tmp_path, model, monkeypatch):
     """Overwriting an existing model and crashing mid-way serves either the
     old or the new model — never a torn mix of weights and config."""
@@ -120,22 +98,17 @@ def test_interrupted_overwrite_keeps_a_consistent_model(tmp_path, model, monkeyp
     assert store.metadata("m") == {"version": 1}
 
 
-def test_legacy_two_file_layout_still_loads(tmp_path, model):
-    """Stores written before the embedded-metadata format keep loading."""
+def test_archive_without_embedded_metadata_fails_clearly(tmp_path, model):
+    """An ``.npz`` in a model's shard that lacks the embedded metadata
+    (not written by ``save``) is refused with a clear error, never
+    half-loaded."""
     store = ModelStore(tmp_path)
-    # Reproduce the old save(): plain state .npz + separate .json.
-    save_npz_dict(tmp_path / "legacy.npz", model.full_state_dict())
-    save_json(
-        tmp_path / "legacy.json",
-        {
-            "config": model.config.to_dict(),
-            "model_class": "BellamyModel",
-            "metadata": {"era": "pre-atomic"},
-        },
-    )
-    loaded = store.load("legacy")
-    assert _states_equal(model, loaded)
-    assert store.metadata("legacy") == {"era": "pre-atomic"}
+    store.save("m", model)
+    save_npz_dict(store.weights_path("m"), model.full_state_dict())
+    with pytest.raises(ValueError, match="no embedded metadata"):
+        store.load("m")
+    with pytest.raises(ValueError, match="no embedded metadata"):
+        store.metadata("m")
 
 
 def test_reserved_meta_key_is_rejected(tmp_path, model, monkeypatch):

@@ -1,9 +1,9 @@
-"""ModelStore over the sharded ArtifactStore: migration + concurrency.
+"""ModelStore over the sharded ArtifactStore: layout, index, concurrency.
 
-Covers the runtime-refactor contract: pre-shard flat-layout models keep
-loading (and are re-homed on save or via ``migrate()``), lookups are
-index-backed, and concurrent cross-process saves of the same name are
-serialized by the store lock — never corrupted or interleaved.
+Covers the runtime-refactor contract: a model is exactly one sharded,
+self-contained ``.npz``, lookups are index-backed point queries, and
+concurrent cross-process saves of the same name are serialized by the
+store lock — never corrupted or interleaved.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.config import BellamyConfig
 from repro.core.model import BellamyModel
 from repro.core.persistence import ModelStore
 from repro.data.schema import JobContext
-from repro.utils.serialization import save_json, save_npz_dict
 
 
 def _make_model(seed: int = 0) -> BellamyModel:
@@ -36,52 +35,28 @@ def _states_equal(a: BellamyModel, b: BellamyModel) -> bool:
     return set(sa) == set(sb) and all(np.array_equal(sa[k], sb[k]) for k in sa)
 
 
-def _write_flat_legacy(root, name: str, model: BellamyModel, metadata: dict) -> None:
-    """Reproduce the pre-shard flat layout exactly as old stores wrote it."""
-    save_npz_dict(root / f"{name}.npz", model.full_state_dict())
-    save_json(
-        root / f"{name}.json",
-        {
-            "config": model.config.to_dict(),
-            "model_class": "BellamyModel",
-            "metadata": metadata,
-        },
-    )
-
-
-class TestFlatMigration:
-    def test_flat_models_visible_and_loadable(self, tmp_path):
-        model = _make_model()
-        _write_flat_legacy(tmp_path, "old", model, {"era": "flat"})
+class TestShardedModelStore:
+    def test_save_commits_exactly_one_npz_member(self, tmp_path):
         store = ModelStore(tmp_path)
-        assert store.exists("old")
-        assert store.names() == ["old"]
-        assert _states_equal(model, store.load("old"))
-        assert store.metadata("old") == {"era": "flat"}
+        store.save("m", _make_model(), metadata={"v": 1})
+        assert store.artifacts.members("m") == ["npz"]
+        assert store.weights_path("m").parent.parent.parent == store.root
+        assert store.metadata("m") == {"v": 1}
 
-    def test_save_rehomes_flat_model(self, tmp_path):
+    def test_root_level_files_are_never_models(self, tmp_path):
+        """Only the shard holds models: a ``<name>.npz``/``<name>.json``
+        dropped at the store root is never reported or loaded."""
         model = _make_model()
-        _write_flat_legacy(tmp_path, "old", model, {"era": "flat"})
         store = ModelStore(tmp_path)
-        store.save("old", model, metadata={"era": "sharded"})
-        assert not (tmp_path / "old.npz").exists()  # re-homed into its shard
-        assert not (tmp_path / "old.json").exists()
-        assert store.names() == ["old"]
-        assert store.metadata("old") == {"era": "sharded"}
-        assert store.weights_path("old").parent != tmp_path
-
-    def test_migrate_moves_all_flat_models(self, tmp_path):
-        model = _make_model()
-        for name in ("a", "b"):
-            _write_flat_legacy(tmp_path, name, model, {"name": name})
-        store = ModelStore(tmp_path)
-        store.save("c", model)  # one already-sharded neighbor
-        assert sorted(store.migrate()) == ["a", "b"]
-        assert list(tmp_path.glob("*.npz")) == []
-        assert store.names() == ["a", "b", "c"]
-        for name in ("a", "b"):
-            assert _states_equal(model, store.load(name))
-            assert store.metadata(name) == {"name": name}
+        store.save("kept", model)
+        np.savez(store.root / "stray.npz", w=np.zeros(2))
+        (store.root / "stray.json").write_text("{}")
+        assert store.names() == ["kept"]
+        assert not store.exists("stray")
+        assert store.weights_path("stray") is None
+        assert store.artifacts.find("stray", "json") is None
+        with pytest.raises(FileNotFoundError):
+            store.load("stray")
 
     def test_names_and_exists_are_index_backed(self, tmp_path):
         # Pinned to local_fs: this test inspects the index.json file
@@ -120,7 +95,7 @@ def _save_tagged(args):
 @pytest.mark.stress
 def test_concurrent_cross_process_saves_stay_consistent(tmp_path):
     """Two processes hammering one model name: the final artifact is one
-    writer's save, whole — embedded metadata, sidecar, and weights agree."""
+    writer's save, whole — embedded metadata and weights agree."""
     with ProcessPoolExecutor(max_workers=2) as pool:
         futures = [
             pool.submit(_save_tagged, (str(tmp_path), seed, 8)) for seed in (1, 2)
@@ -134,7 +109,22 @@ def test_concurrent_cross_process_saves_stay_consistent(tmp_path):
     expected = _make_model(seed=tag // 1000)
     expected.set_runtime_scale(np.array([float(tag), float(tag) + 1.0]))
     assert loaded.runtime_scale == expected.runtime_scale
-    # The sidecar matches the committed npz payload too.
-    sidecar = json.loads(store.artifacts.find("shared", "json").read_text())
-    assert sidecar["metadata"]["tag"] == tag
     assert store.names() == ["shared"]
+
+
+@pytest.mark.parametrize("backend", ["local_fs", "sqlite", "memory"])
+def test_reads_never_need_the_whole_index(tmp_path, backend, monkeypatch):
+    """find(), exists() and ModelStore.load() answer from the backend's
+    per-name point query: a failing whole-index read never reaches them."""
+    model = _make_model()
+    store = ModelStore(tmp_path, backend=backend)
+    store.save("m", model)
+
+    def whole_index_read():
+        raise AssertionError("read_index() on a single-name read path")
+
+    monkeypatch.setattr(store.artifacts.backend, "read_index", whole_index_read)
+    assert store.artifacts.find("m", "npz") is not None
+    assert store.exists("m")
+    assert store.artifacts.exists("m", "npz")
+    assert _states_equal(model, store.load("m"))

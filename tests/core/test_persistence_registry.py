@@ -87,20 +87,3 @@ class TestRegistry:
         save_npz_dict(weights_path, state)
         with pytest.raises(ValueError, match="unknown class"):
             store.load("weird")
-
-    def test_legacy_payload_defaults_to_base_class(self, sgd_dataset, tmp_path):
-        """Stores written before the registry load as plain BellamyModel."""
-        store = ModelStore(tmp_path)
-        model = pretrain(sgd_dataset, "sgd", epochs=5, seed=0).model
-        import json
-
-        from repro.utils.serialization import save_json, save_npz_dict
-
-        # Reproduce the pre-registry, pre-atomic layout: a plain state .npz
-        # and a sidecar .json with no model_class.
-        save_npz_dict(tmp_path / "legacy.npz", model.full_state_dict())
-        save_json(
-            tmp_path / "legacy.json",
-            {"config": model.config.to_dict(), "metadata": {}},
-        )
-        assert type(store.load("legacy")) is BellamyModel

@@ -2,9 +2,8 @@
 
 The *shared* semantics live in ``tests/runtime/conformance/``; this file
 covers what is legitimately per-backend — URI/env resolution in
-``make_backend``, the memory backend's content-addressed blob plane, the
-SQLite lease lock's expiry/takeover story, and the store's per-backend
-metrics instruments.
+``make_backend``, the SQLite index cache and lease lock's expiry/takeover
+story, and the store's per-backend metrics instruments.
 """
 
 from __future__ import annotations
@@ -116,41 +115,33 @@ class TestSelection:
 
 
 # --------------------------------------------------------------------- #
-# Memory backend: the blob (object-store) plane
+# SQLite: the generation-keyed index cache
 # --------------------------------------------------------------------- #
 
 
-class TestMemoryBlobs:
-    def test_commits_mirror_into_content_addressed_blobs(self):
-        backend = MemoryBackend()
-        store = ArtifactStore("ignored", backend=backend)
-        with store.transaction("m") as txn:
-            txn.write("npz", _write_text("weights"))
-        digest = backend.blob_digest("m", "npz")
-        assert digest is not None
-        assert backend.get_blob(digest) == b"weights"
-        assert backend.list_blobs() == [digest]
+class TestSqliteIndexCache:
+    def test_unchanged_generation_reuses_the_cached_read(self, tmp_path):
+        backend = SqliteBackend(tmp_path)
+        backend.register("m", ["npz"])
+        first = backend.read_index()
+        assert first == {"m": ["npz"]}
+        assert backend.read_index() is first
 
-    def test_identical_content_shares_one_blob(self):
-        backend = MemoryBackend()
-        store = ArtifactStore("ignored", backend=backend)
-        for name in ("a", "b"):
-            with store.transaction(name) as txn:
-                txn.write("npz", _write_text("same-bytes"))
-        assert len(backend.list_blobs()) == 1
-        assert backend.blob_digest("a", "npz") == backend.blob_digest("b", "npz")
-
-    def test_delete_drops_unreferenced_blobs(self):
-        backend = MemoryBackend()
-        store = ArtifactStore("ignored", backend=backend)
-        for name in ("a", "b"):
-            with store.transaction(name) as txn:
-                txn.write("npz", _write_text(name))
-        store.delete("a")
-        assert len(backend.list_blobs()) == 1
-        assert backend.blob_digest("a", "npz") is None
-        store.delete("b")
-        assert backend.list_blobs() == []
+    def test_every_mutation_invalidates_other_instances(self, tmp_path):
+        """A second opener (what another process holds) sees each
+        register, unregister and rebuild on its very next read."""
+        reader = SqliteBackend(tmp_path)
+        writer = SqliteBackend(tmp_path)
+        assert reader.read_index() == {}
+        writer.register("a", ["npz"])
+        assert reader.read_index() == {"a": ["npz"]}
+        writer.register("b", ["json", "npz"])
+        assert reader.read_index() == {"a": ["npz"], "b": ["json", "npz"]}
+        writer.unregister("a")
+        assert reader.read_index() == {"b": ["json", "npz"]}
+        writer.replace_index({"c": ["npz"]})
+        assert reader.read_index() == {"c": ["npz"]}
+        assert ArtifactStore(tmp_path, backend=reader).names() == ["c"]
 
 
 # --------------------------------------------------------------------- #

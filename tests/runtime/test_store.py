@@ -1,4 +1,4 @@
-"""ArtifactStore: sharding, index, locking, migration, GC.
+"""ArtifactStore: sharding, index, self-heal, locking, GC.
 
 The cross-process suites spawn real processes (module-level workers) and
 exercise the locking contract the ISSUE demands: two processes saving the
@@ -116,45 +116,11 @@ class TestTransactions:
 
 
 # --------------------------------------------------------------------- #
-# Flat-layout compatibility + migration
+# Index recovery + the one sharded layout
 # --------------------------------------------------------------------- #
 
 
-class TestFlatLayout:
-    def _flat_artifact(self, root: Path, name: str) -> None:
-        (root / f"{name}.npz").write_text(f"{name}-weights")
-        (root / f"{name}.json").write_text(f"{name}-meta")
-
-    def test_flat_files_are_found(self, tmp_path):
-        self._flat_artifact(tmp_path, "legacy")
-        store = ArtifactStore(tmp_path)
-        assert store.exists("legacy", "npz")
-        assert store.names() == ["legacy"]
-        assert store.find("legacy", "npz") == tmp_path / "legacy.npz"
-
-    def test_save_rehomes_flat_files(self, tmp_path):
-        self._flat_artifact(tmp_path, "legacy")
-        store = ArtifactStore(tmp_path)
-        with store.transaction("legacy") as txn:
-            txn.write("npz", _write_text("new-weights"))
-            txn.write("json", _write_text("new-meta"))
-        assert not (tmp_path / "legacy.npz").exists()  # re-homed
-        assert not (tmp_path / "legacy.json").exists()
-        assert store.find("legacy", "npz").read_text() == "new-weights"
-        assert store.names() == ["legacy"]
-
-    def test_migrate_flat_moves_everything(self, tmp_path):
-        for name in ("a", "b", "c.v2"):
-            self._flat_artifact(tmp_path, name)
-        store = ArtifactStore(tmp_path)
-        migrated = store.migrate_flat()
-        assert migrated == ["a", "b", "c.v2"]
-        assert sorted(p.name for p in tmp_path.glob("*.npz")) == []
-        assert store.names() == ["a", "b", "c.v2"]
-        assert store.find("b", "npz").read_text() == "b-weights"
-        # Idempotent.
-        assert store.migrate_flat() == []
-
+class TestIndexRecovery:
     def test_find_self_heals_unregistered_sharded_member(self, tmp_path):
         """A writer that crashed between committing a member and registering
         it (index entry missing) is healed by the next find()/exists() —
@@ -189,6 +155,36 @@ class TestFlatLayout:
         assert fresh.rebuild_index() == ["m"]
         assert fresh.names() == ["m"]
 
+    def test_find_self_heals_a_store_without_an_index_file(self, tmp_path):
+        """A local store whose ``index.json`` is gone (or not yet written)
+        re-registers a member on its first find(), no rebuild needed."""
+        store = ArtifactStore(tmp_path, backend="local_fs")
+        with store.transaction("m") as txn:
+            txn.write("npz", _write_text("x"))
+        (tmp_path / "index.json").unlink()
+        fresh = ArtifactStore(tmp_path, backend="local_fs")
+        assert fresh.names() == []
+        assert fresh.find("m", "npz") is not None
+        assert fresh.names() == ["m"]
+        assert (tmp_path / "index.json").exists()
+
+    @pytest.mark.parametrize("backend", ["local_fs", "sqlite", "memory"])
+    def test_root_level_member_files_are_not_artifacts(self, tmp_path, backend):
+        """Member files live only in their shard: a stray ``<name>.npz``
+        or ``<name>.json`` at the store root is never reported."""
+        store = ArtifactStore(tmp_path, backend=backend)
+        with store.transaction("kept") as txn:
+            txn.write("npz", _write_text("x"))
+        (store.root / "stray.npz").write_text("stray-weights")
+        (store.root / "stray.json").write_text("stray-meta")
+        assert store.names() == ["kept"]
+        assert store.find("stray", "npz") is None
+        assert store.find("stray", "json") is None
+        assert not store.exists("stray")
+        assert not store.exists("stray", "npz")
+        assert store.members("stray") == []
+        assert store.rebuild_index() == ["kept"]
+
 
 # --------------------------------------------------------------------- #
 # Deletion + GC
@@ -198,13 +194,11 @@ class TestFlatLayout:
 class TestMaintenance:
     def test_delete_removes_members_and_index_entry(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        (tmp_path / "m.json").write_text("flat-meta")  # stale flat copy too
         with store.transaction("m") as txn:
             txn.write("npz", _write_text("x"))
         store.delete("m")
         assert not store.exists("m")
         assert store.names() == []
-        assert not (tmp_path / "m.json").exists()
         store.delete("m")  # absent: no error
 
     def test_gc_temp_sweeps_only_orphans(self, tmp_path):
